@@ -247,9 +247,13 @@ def _enum_cap() -> int:
     if raw is None:
         return DEFAULT_MAX_OPAQUE
     try:
-        return min(int(raw), HARD_MAX_OPAQUE)
+        cap = int(raw)
+        if cap < 0:
+            raise ValueError
     except ValueError:
-        return DEFAULT_MAX_OPAQUE
+        raise EnumerationLimitError(
+            f"{MAX_ENUM_ENV} must be a nonnegative integer, got {raw!r}") from None
+    return min(cap, HARD_MAX_OPAQUE)
 
 
 def _set_partitions_of(elems: tuple[int, ...]):

@@ -235,8 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "max_len", None) is not None and args.max_len > MAX_LEN_CAP:
+    max_len = getattr(args, "max_len", None)
+    if max_len is not None and max_len > MAX_LEN_CAP:
         print(f"error: --max-len is capped at {MAX_LEN_CAP}", file=sys.stderr)
+        return 2
+    if max_len is not None and max_len < 0:
+        print("error: --max-len must not be negative", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -19,23 +19,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .bipartition import enumerate_bipartitions, monotone_block_weights
 from .functional import (
     Functional,
-    GROUP_MULTIPLICATIVE,
     LIE_INTERVAL,
+    block_sum,
+    class_terms,
     exp_prec,
     exp_star,
     exp_succ,
 )
 from .translucent import fully_opaque
-from .words import (Alphabet, EMPTY_WORD, IncompleteWord, _restrict_sorted,
-                    is_complete)
+from .words import Alphabet, EMPTY_WORD, IncompleteWord, is_complete
 
 Q = Fraction
 
 FAMILIES = ("bifree", "biboolean", "bimonotone")
-_FAMILY_CLASS = {"bifree": "nc", "biboolean": "interval"}
+_FAMILY_CLASS = {"bifree": "nc", "biboolean": "interval", "bimonotone": "monotone"}
 
 
 @dataclass
@@ -82,46 +81,11 @@ class CumulantData:
             raise KeyError(f"missing cumulant entry for {w.text!r}") from None
 
 
-def _class_terms(family: str, n: int, alpha: str):
-    """Blocks-with-weight pairs of the family's class on the fully opaque type."""
-    t = fully_opaque(alpha)
-    if family == "bimonotone":
-        for blocks, _count, weight in monotone_block_weights(t):
-            yield blocks, weight
-    else:
-        for pi in enumerate_bipartitions(t, _FAMILY_CLASS[family]):
-            yield pi.blocks, Q(1)
-
-
-def _moment_from(family: str, w: IncompleteWord, lookup) -> Fraction:
-    values: dict[tuple[int, ...], Fraction] = {}
-
-    def block_value(block):
-        v = values.get(block)
-        if v is None:
-            v = lookup(_restrict_sorted(w, block))
-            values[block] = v
-        return v
-
-    total = Q(0)
-    for blocks, weight in _class_terms(family, len(w), w.sides):
-        num, den = weight.numerator, weight.denominator
-        for block in blocks:
-            v = block_value(block)
-            num *= v.numerator
-            if not num:
-                break
-            den *= v.denominator
-        if num:
-            total += Q(num, den)
-    return total
-
-
 def cumulants_to_moments(c: CumulantData, max_len: int) -> MomentData:
     """Weighted bipartition sums of cumulant products, up to ``max_len``."""
-    values = {}
-    for w in c.alphabet.complete_words(max_len, min_len=1):
-        values[w] = _moment_from(c.family, w, c.cumulant)
+    cls = _FAMILY_CLASS[c.family]
+    values = {w: block_sum(class_terms(fully_opaque(w.sides), cls), w, c.cumulant)
+              for w in c.alphabet.complete_words(max_len, min_len=1)}
     return MomentData(c.alphabet, values)
 
 
@@ -133,40 +97,13 @@ def moments_to_cumulants(m: MomentData, family: str, max_len: int) -> CumulantDa
     involve shorter words.
     """
     out = CumulantData(family, m.alphabet)
+    cls = _FAMILY_CLASS[family]
     for n in range(1, max_len + 1):
         for w in m.alphabet.complete_words(n, min_len=n):
-            values: dict[tuple[int, ...], Fraction] = {}
-
-            def block_value(block, w=w, values=values):
-                v = values.get(block)
-                if v is None:
-                    v = out.cumulant(_restrict_sorted(w, block))
-                    values[block] = v
-                return v
-
-            rest = Q(0)
-            for blocks, weight in _class_terms(family, n, w.sides):
-                if len(blocks) == 1:
-                    continue
-                num, den = weight.numerator, weight.denominator
-                for block in blocks:
-                    v = block_value(block)
-                    num *= v.numerator
-                    if not num:
-                        break
-                    den *= v.denominator
-                if num:
-                    rest += Q(num, den)
+            terms = class_terms(fully_opaque(w.sides), cls)
+            rest = block_sum(terms, w, out.cumulant, skip_one_block=True)
             out.values[w] = m.moment(w) - rest
     return out
-
-
-def moment_functional(m: MomentData, max_len: int) -> Functional:
-    """The multiplicative functional tabulating the moments on complete words."""
-    table = {
-        w: m.moment(w) for w in m.alphabet.complete_words(max_len, min_len=1)
-    }
-    return Functional(GROUP_MULTIPLICATIVE, m.alphabet, table)
 
 
 def cumulant_functional(c: CumulantData) -> Functional:

@@ -14,6 +14,11 @@ incomplete words:
 * ``generic``: a direct table on incomplete words, ``unit_value`` on
   placeholder-only words.
 
+Anything with a ``unit_value`` (its value on every placeholder-only word)
+and an ``eval(word)`` method is a functional here: a table-backed
+:class:`Functional`, or a :class:`Lazy` rule memoized per word, which is
+what the products return.
+
 Duality with the coproducts of :mod:`bifc.words` gives the convolution
 ``star`` and the half-products ``prec`` and ``succ``; the preLie product is
 ``prec`` minus the flipped ``succ``.  Three exponentials solve
@@ -22,7 +27,8 @@ Duality with the coproducts of :mod:`bifc.words` gives the convolution
 exponential with ``1/n!`` weights (labelled monotone bipartitions with
 ``1/|blocks|!``); for full-kind directions all three collapse to the sum
 over all bipartitions.  :func:`oracle_sum` computes those bipartition sums
-directly and independently.
+directly and independently, with :func:`block_sum` over the
+``(blocks, weight)`` terms of :func:`class_terms`.
 
 All arithmetic is exact: values are :class:`fractions.Fraction`.
 """
@@ -32,7 +38,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 from typing import Mapping
 
 from .bipartition import enumerate_bipartitions, monotone_block_weights
@@ -40,14 +45,13 @@ from .translucent import opaque_intervals
 from .words import (
     Alphabet,
     IncompleteWord,
+    _cut_sets,
     _restrict_sorted,
     _translucidate_set,
     is_complete,
     is_placeholder_only,
-    min_opaque,
     opaque_positions_w,
     restrict_word,
-    translucent_positions_w,
     type_of,
 )
 
@@ -106,10 +110,6 @@ class Functional:
         """1 on placeholder-only words, 0 elsewhere; the unit for star."""
         return cls(GENERIC, alphabet, {}, unit_value=1)
 
-    @property
-    def vanishes_on_units(self) -> bool:
-        return self.unit_value == 0
-
     def _lookup(self, w: IncompleteWord) -> Fraction:
         try:
             return self.table[w]
@@ -162,63 +162,42 @@ class Functional:
         return f"Functional({self.kind}, {len(self.table)} entries)"
 
 
-class LazyProduct:
-    """Functional defined pointwise by one of the dual products, memoized."""
+class Lazy:
+    """Functional given pointwise by ``func``, memoized per word."""
 
-    __slots__ = ("f", "g", "mode", "unit_value", "_memo")
+    __slots__ = ("func", "unit_value", "_memo")
 
-    def __init__(self, f, g, mode: str):
-        self.f, self.g, self.mode = f, g, mode
-        if mode == "star":
-            self.unit_value = f.unit_value * g.unit_value
-        else:
-            self.unit_value = Q(0)
+    def __init__(self, func, unit_value: Fraction | int = 0):
+        self.func = func
+        self.unit_value = Q(unit_value)
         self._memo: dict[IncompleteWord, Fraction] = {}
 
-    @property
-    def vanishes_on_units(self) -> bool:
-        return self.unit_value == 0
-
     def eval(self, w: IncompleteWord) -> Fraction:
-        if w in self._memo:
+        try:
             return self._memo[w]
-        if self.mode == "star":
-            value = star_eval(self.f, self.g, w)
-        elif self.mode == "prec":
-            value = prec_eval(self.f, self.g, w)
-        else:
-            value = succ_eval(self.f, self.g, w)
-        self._memo[w] = value
-        return value
+        except KeyError:
+            value = self._memo[w] = self.func(w)
+            return value
 
 
-def _cut_sets(w: IncompleteWord, keep_min: bool | None):
-    """Kept position sets of the admissible cuts, optionally split at the
-    lessdot-first opaque position (``True`` keeps it, ``False`` drops it)."""
-    base = translucent_positions_w(w)
-    free = opaque_positions_w(w)
-    if keep_min is None:
-        head: tuple[int, ...] = ()
-    else:
-        wmin = min_opaque(w)
-        free = tuple(p for p in free if p != wmin)
-        head = (wmin,) if keep_min else ()
-    for bits in iproduct((False, True), repeat=len(free)):
-        yield tuple(sorted(base + head + tuple(p for p, b in zip(free, bits) if b)))
-
-
-def star_eval(f, g, w: IncompleteWord) -> Fraction:
-    """Convolution ``(f star g)(w)``, dual to the decomposition coproduct."""
+def _cut_sum(f, g, w: IncompleteWord, keep_min: bool | None) -> Fraction:
+    """``f`` on the restriction times ``g`` on the translucidation, summed
+    over the cuts of ``w`` selected by ``keep_min`` (see ``_cut_sets``)."""
     total = Q(0)
-    for kept in _cut_sets(w, None):
+    for kept in _cut_sets(w, keep_min):
         left = f.eval(_restrict_sorted(w, kept))
         if left:
             total += left * g.eval(_translucidate_set(w, set(kept)))
     return total
 
 
+def star_eval(f, g, w: IncompleteWord) -> Fraction:
+    """Convolution ``(f star g)(w)``, dual to the decomposition coproduct."""
+    return _cut_sum(f, g, w, None)
+
+
 def _check_half_product_args(f, g, op: str) -> None:
-    if not f.vanishes_on_units and not g.vanishes_on_units:
+    if f.unit_value and g.unit_value:
         raise ValueError(
             f"{op} needs at least one factor vanishing on placeholder-only words"
         )
@@ -234,12 +213,7 @@ def prec_eval(f, g, w: IncompleteWord) -> Fraction:
     _check_half_product_args(f, g, "prec")
     if is_placeholder_only(w):
         return Q(0)
-    total = Q(0)
-    for kept in _cut_sets(w, True):
-        left = f.eval(_restrict_sorted(w, kept))
-        if left:
-            total += left * g.eval(_translucidate_set(w, set(kept)))
-    return total
+    return _cut_sum(f, g, w, True)
 
 
 def succ_eval(f, g, w: IncompleteWord) -> Fraction:
@@ -247,31 +221,26 @@ def succ_eval(f, g, w: IncompleteWord) -> Fraction:
     _check_half_product_args(f, g, "succ")
     if is_placeholder_only(w):
         return Q(0)
-    total = Q(0)
-    for kept in _cut_sets(w, False):
-        left = f.eval(_restrict_sorted(w, kept))
-        if left:
-            total += left * g.eval(_translucidate_set(w, set(kept)))
-    return total
+    return _cut_sum(f, g, w, False)
 
 
-def star(f, g) -> LazyProduct:
-    return LazyProduct(f, g, "star")
+def star(f, g) -> Lazy:
+    return Lazy(lambda w: star_eval(f, g, w), f.unit_value * g.unit_value)
 
 
-def prec(f, g) -> LazyProduct:
+def prec(f, g) -> Lazy:
     _check_half_product_args(f, g, "prec")
-    return LazyProduct(f, g, "prec")
+    return Lazy(lambda w: prec_eval(f, g, w))
 
 
-def succ(f, g) -> LazyProduct:
+def succ(f, g) -> Lazy:
     _check_half_product_args(f, g, "succ")
-    return LazyProduct(f, g, "succ")
+    return Lazy(lambda w: succ_eval(f, g, w))
 
 
 def prelie_eval(f, g, w: IncompleteWord) -> Fraction:
     """preLie product ``(f prec g) - (g succ f)`` evaluated at ``w``."""
-    if not f.vanishes_on_units or not g.vanishes_on_units:
+    if f.unit_value or g.unit_value:
         raise ValueError("the preLie product needs both factors to vanish on "
                          "placeholder-only words")
     return prec_eval(f, g, w) - succ_eval(g, f, w)
@@ -328,24 +297,9 @@ def exp_prec(k: Functional, max_len: int) -> Functional:
 
 
 def _left_fixed_point_table(k: Functional, max_len: int) -> dict:
-    memo: dict[IncompleteWord, Fraction] = {}
-
-    def value(w: IncompleteWord) -> Fraction:
-        if is_placeholder_only(w):
-            return Q(1)
-        try:
-            return memo[w]
-        except KeyError:
-            pass
-        total = Q(0)
-        for kept in _cut_sets(w, True):
-            coeff = k.eval(_restrict_sorted(w, kept))
-            if coeff:
-                total += coeff * value(_translucidate_set(w, set(kept)))
-        memo[w] = total
-        return total
-
-    return {v: value(v) for v in k.alphabet.complete_words(max_len, min_len=1)}
+    """``M = counit + k prec M`` on the complete words up to ``max_len``."""
+    M = Lazy(lambda w: Q(1) if is_placeholder_only(w) else _cut_sum(k, M, w, True), 1)
+    return {v: M.eval(v) for v in k.alphabet.complete_words(max_len, min_len=1)}
 
 
 @lru_cache(maxsize=4096)
@@ -457,22 +411,12 @@ def log_star(M: Functional, max_len: int) -> Functional:
     series is finite on every word.
     """
     _require_kind(M, GROUP_MULTIPLICATIVE, "log_star")
-
-    class _Shifted:
-        unit_value = Q(0)
-        vanishes_on_units = True
-
-        @staticmethod
-        def eval(w: IncompleteWord) -> Fraction:
-            if is_placeholder_only(w):
-                return Q(0)
-            return M.eval(w)
-
+    shifted = Lazy(lambda w: Q(0) if is_placeholder_only(w) else M.eval(w))
     memo: dict = {}
     cuts: dict = {}
     table = {}
     for v in M.alphabet.complete_words(max_len, min_len=1):
-        powers = _star_power_values(_Shifted, v, memo, cuts, interval_kind=False)
+        powers = _star_power_values(shifted, v, memo, cuts, interval_kind=False)
         total = Q(0)
         for n, p in enumerate(powers, start=1):
             total += Q((-1) ** (n - 1), n) * p
@@ -488,29 +432,52 @@ def exp_full(k: Functional, max_len: int) -> Functional:
     ``k`` over the blocks.
     """
     _require_kind(k, LIE_FULL, "exp_full")
-    memo: dict[IncompleteWord, Fraction] = {}
-
-    def value(w: IncompleteWord) -> Fraction:
-        if is_placeholder_only(w):
-            return Q(1)
-        try:
-            return memo[w]
-        except KeyError:
-            pass
-        total = Q(0)
-        for kept in _cut_sets(w, True):
-            coeff = k.eval(_restrict_sorted(w, kept))
-            if coeff:
-                total += coeff * value(_translucidate_set(w, set(kept)))
-        memo[w] = total
-        return total
-
-    table = {v: value(v) for v in k.alphabet.complete_words(max_len, min_len=1)}
-    return Functional(GROUP_FULL, k.alphabet, table)
+    return Functional(GROUP_FULL, k.alphabet, _left_fixed_point_table(k, max_len))
 
 
 # ---------------------------------------------------------------------------
 # bipartition-sum oracle
+
+def class_terms(t, cls: str):
+    """``(blocks, weight)`` pairs of the bipartition class ``cls`` of ``t``.
+
+    Weight 1 per bipartition, except the monotone class, whose labelled
+    bipartitions come grouped by their blocks with total weight
+    ``count / |blocks|!``.
+    """
+    if cls == "monotone":
+        for blocks, _count, weight in monotone_block_weights(t):
+            yield blocks, weight
+    else:
+        one = Q(1)
+        for pi in enumerate_bipartitions(t, cls):
+            yield pi.blocks, one
+
+
+def block_sum(terms, w: IncompleteWord, lookup, skip_one_block: bool = False) -> Fraction:
+    """Sum of ``weight * prod(lookup(w | block))`` over ``(blocks, weight)`` terms.
+
+    Each block's value is looked up once per call; a product stops at its
+    first zero factor.  ``skip_one_block`` leaves out the one-block terms.
+    """
+    values: dict[tuple[int, ...], Fraction] = {}
+    total = Q(0)
+    for blocks, weight in terms:
+        if skip_one_block and len(blocks) == 1:
+            continue
+        num, den = weight.numerator, weight.denominator
+        for block in blocks:
+            v = values.get(block)
+            if v is None:
+                v = values[block] = lookup(_restrict_sorted(w, block))
+            num *= v.numerator
+            if not num:
+                break
+            den *= v.denominator
+        if num:
+            total += Q(num, den)
+    return total
+
 
 def oracle_sum(k, w: IncompleteWord, cls: str) -> Fraction:
     """Brute-force bipartition sum over the given class of ``type_of(w)``.
@@ -519,38 +486,4 @@ def oracle_sum(k, w: IncompleteWord, cls: str) -> Fraction:
     labelled bipartition by ``1 / |blocks|!``.  This is the independent
     check for every exponential.
     """
-    t = type_of(w)
-    values: dict[tuple[int, ...], Fraction] = {}
-
-    def block_value(block: tuple[int, ...]) -> Fraction:
-        v = values.get(block)
-        if v is None:
-            v = k.eval(_restrict_sorted(w, block))
-            values[block] = v
-        return v
-
-    if cls == "monotone":
-        total = Q(0)
-        for blocks, _count, weight in monotone_block_weights(t):
-            num, den = weight.numerator, weight.denominator
-            for block in blocks:
-                v = block_value(block)
-                num *= v.numerator
-                if not num:
-                    break
-                den *= v.denominator
-            if num:
-                total += Q(num, den)
-        return total
-    total = Q(0)
-    for pi in enumerate_bipartitions(t, cls):
-        num, den = 1, 1
-        for block in pi.blocks:
-            v = block_value(block)
-            num *= v.numerator
-            if not num:
-                break
-            den *= v.denominator
-        if num:
-            total += Q(num, den)
-    return total
+    return block_sum(class_terms(type_of(w), cls), w, k.eval)

@@ -81,6 +81,7 @@ def source(t: TranslucentWord) -> str:
     return t.alpha
 
 
+@lru_cache(maxsize=65536)
 def target(t: TranslucentWord) -> str:
     return restrict_lr(t.alpha, translucent_positions(t))
 
@@ -172,8 +173,15 @@ def split(t: TranslucentWord, i: int) -> tuple[TranslucentWord, TranslucentWord]
     """
     if t.mask[i - 1] != "0":
         raise ValueError(f"split position {i} is not translucent in {t}")
+    return _split_at(t, i)[2:]
+
+
+@lru_cache(maxsize=65536)
+def _split_at(t: TranslucentWord, i: int):
+    """``(before, after, t_minus, t_plus)`` at a translucent position ``i``."""
     so = standard_order(t.alpha)
-    return _restrict_sorted(t, so.before(i)), _restrict_sorted(t, so.after(i))
+    before, after = so.before(i), so.after(i)
+    return before, after, _restrict_sorted(t, before), _restrict_sorted(t, after)
 
 
 def is_right_factor(s: TranslucentWord, t: TranslucentWord) -> bool:
@@ -204,9 +212,7 @@ def exchange(
     """
     if t.mask[i - 1] != "0":
         raise ValueError(f"exchange position {i} is not translucent in {t}")
-    so = standard_order(t.alpha)
-    before, after = so.before(i), so.after(i)
-    t_minus, t_plus = _restrict_sorted(t, before), _restrict_sorted(t, after)
+    before, after, t_minus, t_plus = _split_at(t, i)
     if not is_right_factor(s_minus, t_minus):
         raise ValueError(f"{s_minus} is not a right factor of {t_minus}")
     if not is_right_factor(s_plus, t_plus):

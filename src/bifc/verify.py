@@ -192,14 +192,22 @@ def _exchange_assoc_first(t: tr.TranslucentWord, checked: int):
             j_in_i = after_i.index(j) + 1
             seg_minus, seg_mid = tr.split(t_upto_j, i_in_j)
             seg_plus = tr.split(t_from_i, j_in_i)[1]
+            plus_factors = _right_factors(seg_plus)
+            # s_hi depends on (s_mid, s_plus) only and s_lo on
+            # (s_minus, s_mid) only: merge each pair once.
+            s_hi = {
+                (s_mid, s_plus): tr.exchange(s_mid, s_plus, t_from_i, j_in_i)[1]
+                for s_mid in _right_factors(seg_mid)
+                for s_plus in plus_factors
+            }
             for s_minus in _right_factors(seg_minus):
                 for s_mid in _right_factors(seg_mid):
-                    for s_plus in _right_factors(seg_plus):
+                    _, s_lo = tr.exchange(s_minus, s_mid, t_upto_j, i_in_j)
+                    for s_plus in plus_factors:
                         checked += 1
-                        _, s_lo = tr.exchange(s_minus, s_mid, t_upto_j, i_in_j)
                         route1 = tr.exchange(s_lo, s_plus, t, j)
-                        _, s_hi = tr.exchange(s_mid, s_plus, t_from_i, j_in_i)
-                        route2 = tr.exchange(s_minus, s_hi, t, i)
+                        route2 = tr.exchange(
+                            s_minus, s_hi[s_mid, s_plus], t, i)
                         if route1 != route2:
                             return checked, (
                                 f"first associativity constraint fails on t={t} "
@@ -210,25 +218,34 @@ def _exchange_assoc_first(t: tr.TranslucentWord, checked: int):
 def _exchange_assoc_second(t: tr.TranslucentWord, checked: int):
     for i in tr.translucent_positions(t):
         t_minus, t_plus = tr.split(t, i)
+        plus = []
+        for s_plus in _right_factors(t_plus):
+            c_plus = tr.restrict(t_plus, tr.translucent_positions(s_plus))
+            plus.append((s_plus, [(r_plus, tr.compose(r_plus, s_plus))
+                                  for r_plus in _right_factors(c_plus)]))
         for s_minus in _right_factors(t_minus):
+            # the merge of (s_minus, s_plus) does not depend on the r factors
+            big = {}
+            for s_plus, _ in plus:
+                big_r, big_s = tr.exchange(s_minus, s_plus, t, i)
+                i_prime = tr.translucent_positions(big_s).index(i) + 1
+                big[s_plus] = (big_r, big_s, i_prime,
+                               tr.compose(big_r, big_s) == t)
             c_minus = tr.restrict(t_minus, tr.translucent_positions(s_minus))
             for r_minus in _right_factors(c_minus):
                 rs_minus = tr.compose(r_minus, s_minus)
-                for s_plus in _right_factors(t_plus):
-                    c_plus = tr.restrict(t_plus, tr.translucent_positions(s_plus))
-                    for r_plus in _right_factors(c_plus):
-                        rs_plus = tr.compose(r_plus, s_plus)
+                for s_plus, r_pluses in plus:
+                    big_r, big_s, i_prime, recomposes = big[s_plus]
+                    for r_plus, rs_plus in r_pluses:
                         checked += 1
-                        big_r, big_s = tr.exchange(s_minus, s_plus, t, i)
                         mid_r, mid_s = tr.exchange(rs_minus, rs_plus, t, i)
-                        if tr.compose(big_r, big_s) != t:
+                        if not recomposes:
                             return checked, f"recomposition fails on t={t} i={i}"
                         inner = tr.exchange(s_minus, s_plus, mid_s, i)
                         if inner[1] != big_s:
                             return checked, (
                                 f"second associativity constraint (s part) fails "
                                 f"on t={t} i={i}")
-                        i_prime = tr.translucent_positions(big_s).index(i) + 1
                         outer = tr.exchange(r_minus, r_plus, big_r, i_prime)
                         if outer[0] != mid_r or outer[1] != inner[0]:
                             return checked, (
@@ -237,27 +254,20 @@ def _exchange_assoc_second(t: tr.TranslucentWord, checked: int):
     return checked, None
 
 
+_HALVES_KEEP_MIN = {"full": None, "left": True, "right": False}
+
+
 def _compat_counters(w_minus, w_plus, t, i, halves: str):
     """Both sides of the coproduct/horizontal-product compatibility.
 
     ``halves`` selects the full coproduct or one of the unreduced halves on
     the left factor; the right factor always carries the full coproduct.
     """
-    from .biset import standard_order
-
+    keep_min = _HALVES_KEEP_MIN[halves]
     w = wd.horizontal_product(w_minus, w_plus, t, i)
-    if halves == "full":
-        lhs_cuts = wd.admissible_cuts(w)
-        minus_cuts = list(wd.admissible_cuts(w_minus))
-    elif halves == "left":
-        lhs_cuts = wd.cuts_keeping_min(w)
-        minus_cuts = list(wd.cuts_keeping_min(w_minus))
-    else:
-        lhs_cuts = wd.cuts_dropping_min(w)
-        minus_cuts = list(wd.cuts_dropping_min(w_minus))
-    lhs = Counter(lhs_cuts)
+    lhs = Counter(wd.admissible_cuts(w, keep_min))
     rhs: Counter = Counter()
-    for ell_minus, u_minus in minus_cuts:
+    for ell_minus, u_minus in wd.admissible_cuts(w_minus, keep_min):
         s_minus = wd.type_of(u_minus)
         for ell_plus, u_plus in wd.admissible_cuts(w_plus):
             s_plus = wd.type_of(u_plus)
@@ -370,22 +380,8 @@ def suite_prelie(max_len: int = 4, seed: int = 42) -> SuiteResult:
     return SuiteResult("prelie", True, checked)
 
 
-class _Lazy:
-    unit_value = Q(0)
-    vanishes_on_units = True
-
-    def __init__(self, func: Callable):
-        self._func = func
-        self._memo: dict = {}
-
-    def eval(self, w):
-        if w not in self._memo:
-            self._memo[w] = self._func(w)
-        return self._memo[w]
-
-
-def _prelie_lazy(a, b) -> _Lazy:
-    return _Lazy(lambda w: fn.prelie_eval(a, b, w))
+def _prelie_lazy(a, b) -> fn.Lazy:
+    return fn.Lazy(lambda w: fn.prelie_eval(a, b, w))
 
 
 # ---------------------------------------------------------------------------

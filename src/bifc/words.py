@@ -233,20 +233,6 @@ class WordSum:
         return "WordSum[" + " + ".join(terms) + "]"
 
 
-def _cut_at(w: IncompleteWord, kept: tuple[int, ...]) -> tuple[IncompleteWord, IncompleteWord]:
-    return restrict_word(w, kept), translucidate_word(w, kept)
-
-
-def admissible_cuts(w: IncompleteWord) -> Iterator[tuple[IncompleteWord, IncompleteWord]]:
-    """All cuts ``(restriction, translucidation)`` at sets containing every
-    translucent position; ``2**(number of variables)`` of them."""
-    base = translucent_positions_w(w)
-    free = opaque_positions_w(w)
-    for bits in product((False, True), repeat=len(free)):
-        kept = base + tuple(p for p, b in zip(free, bits) if b)
-        yield _cut_at(w, tuple(sorted(kept)))
-
-
 def min_opaque(w: IncompleteWord) -> int:
     """The lessdot-first opaque position; error on placeholder-only words."""
     opq = opaque_positions_w(w)
@@ -255,28 +241,36 @@ def min_opaque(w: IncompleteWord) -> int:
     return standard_order(w.sides).min_of(opq)
 
 
-def cuts_keeping_min(w: IncompleteWord) -> Iterator[tuple[IncompleteWord, IncompleteWord]]:
-    """Cuts whose kept set contains the lessdot-first opaque position.
+def _cut_sets(w: IncompleteWord, keep_min: bool | None = None):
+    """Sorted kept position sets of the admissible cuts of ``w``.
 
-    The trivial term cutting at the full set is included; the public
-    :func:`coproduct_left` filters it away.
+    Every set contains all translucent positions.  ``keep_min`` splits the
+    sets at the lessdot-first opaque position: ``True`` keeps it, ``False``
+    drops it, ``None`` yields both kinds.
     """
     base = translucent_positions_w(w)
-    wmin = min_opaque(w)
-    free = tuple(p for p in opaque_positions_w(w) if p != wmin)
+    free = opaque_positions_w(w)
+    if keep_min is None:
+        head: tuple[int, ...] = ()
+    else:
+        wmin = min_opaque(w)
+        free = tuple(p for p in free if p != wmin)
+        head = (wmin,) if keep_min else ()
     for bits in product((False, True), repeat=len(free)):
-        kept = base + (wmin,) + tuple(p for p, b in zip(free, bits) if b)
-        yield _cut_at(w, tuple(sorted(kept)))
+        yield tuple(sorted(base + head + tuple(p for p, b in zip(free, bits) if b)))
 
 
-def cuts_dropping_min(w: IncompleteWord) -> Iterator[tuple[IncompleteWord, IncompleteWord]]:
-    """Cuts whose kept set avoids the lessdot-first opaque position."""
-    base = translucent_positions_w(w)
-    wmin = min_opaque(w)
-    free = tuple(p for p in opaque_positions_w(w) if p != wmin)
-    for bits in product((False, True), repeat=len(free)):
-        kept = base + tuple(p for p, b in zip(free, bits) if b)
-        yield _cut_at(w, tuple(sorted(kept)))
+def admissible_cuts(
+    w: IncompleteWord, keep_min: bool | None = None
+) -> Iterator[tuple[IncompleteWord, IncompleteWord]]:
+    """Cuts ``(restriction, translucidation)`` at the kept sets of ``w``.
+
+    ``2**(number of variables)`` of them with ``keep_min=None``; half as
+    many when ``keep_min`` keeps (``True``) or drops (``False``) the
+    lessdot-first opaque position.  The trivial cuts are included.
+    """
+    for kept in _cut_sets(w, keep_min):
+        yield _restrict_sorted(w, kept), _translucidate_set(w, set(kept))
 
 
 def coproduct(w: IncompleteWord) -> WordSum:
@@ -291,7 +285,7 @@ def coproduct_left(w: IncompleteWord) -> WordSum:
     with both factors required to contain a variable.
     """
     out = WordSum()
-    for left, right in cuts_keeping_min(w):
+    for left, right in admissible_cuts(w, True):
         if not is_placeholder_only(right):
             out.add((left, right))
     return out
@@ -300,7 +294,7 @@ def coproduct_left(w: IncompleteWord) -> WordSum:
 def coproduct_right(w: IncompleteWord) -> WordSum:
     """Right half of the reduced coproduct: the first opaque letter moves right."""
     out = WordSum()
-    for left, right in cuts_dropping_min(w):
+    for left, right in admissible_cuts(w, False):
         if not is_placeholder_only(left):
             out.add((left, right))
     return out

@@ -1,9 +1,16 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from bifc import cli
-from bifc.bipartition import make_bipartition, make_labeled
+from bifc.bipartition import _enumerate_cached, make_bipartition, make_labeled
+from bifc.cumulants import FAMILIES
 from bifc.diagrams import render_svg
 from bifc.translucent import TranslucentWord
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
 
 
 def run(capsys, *argv):
@@ -59,6 +66,15 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--type", "LLL,111",
                            "--format", "count")
         assert code == 2 and "cap" in err
+
+    @pytest.mark.parametrize("raw", ["abc", "-1"])
+    def test_guardrail_rejects_bad_value(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("BIFC_MAX_ENUM", raw)
+        _enumerate_cached.cache_clear()  # a cached result skips the cap check
+        code, out, err = run(capsys, "enumerate", "--type", "LLL,111",
+                             "--class", "nc", "--format", "count")
+        assert code == 2 and out == ""
+        assert err.startswith("error: BIFC_MAX_ENUM must be a nonnegative integer")
 
 
 class TestSvg:
@@ -178,6 +194,50 @@ class TestConvert:
                            "--from", "moments", "--to", "bifree",
                            "--max-len", "15")
         assert code == 2 and "capped" in err
+
+    def test_negative_max_len(self, tmp_path, capsys):
+        src = tmp_path / "m.json"
+        self.write_moments(src)
+        for argv in (("convert", "--input", str(src), "--from", "moments",
+                      "--to", "bifree", "--max-len", "-2"),
+                     ("verify", "--suite", "exponentials", "--max-len", "-3")):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "--max-len" in err
+
+
+class TestGolden:
+    """The CLI keeps writing the bytes pinned under ``data/golden/``.
+
+    ``data/moments_2x2.json`` is a seeded table of nonzero rationals on every
+    word of length <= 4 over ``aL bL | aR bR``; the cumulant inputs are the
+    same table tagged with a family.  The golden files were written by the
+    CLI as it stood before its cut, lazy-functional and block-sum loops were
+    merged, so any change in the exact values shows up here.
+    """
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_moments_to_cumulants(self, capsys, family):
+        code, out, _ = run(capsys, "convert", "--input", str(DATA / "moments_2x2.json"),
+                           "--from", "moments", "--to", family, "--max-len", "4")
+        assert code == 0
+        assert out == (GOLDEN / f"moments_to_{family}.json").read_text()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_cumulants_to_moments(self, tmp_path, capsys, family):
+        table = json.loads((DATA / "moments_2x2.json").read_text())
+        table["family"] = family
+        src = tmp_path / "c.json"
+        src.write_text(json.dumps(table))
+        code, out, _ = run(capsys, "convert", "--input", str(src),
+                           "--from", family, "--to", "moments", "--max-len", "4")
+        assert code == 0
+        assert out == (GOLDEN / f"{family}_to_moments.json").read_text()
+
+    def test_verify_text(self, capsys):
+        code, out, _ = run(capsys, "verify", "--max-len", "3", "--seed", "1")
+        assert code == 0
+        assert out == (GOLDEN / "verify_len3_seed1.txt").read_text()
 
 
 class TestVerify:

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -75,6 +76,30 @@ class TestCompose:
             assert len(set(cuts)) == len(cuts)
             for left, right in cuts:
                 assert wd.compose_words(left, right) == w
+
+
+class TestCutGenerator:
+    @pytest.mark.parametrize("keep_min", [None, True, False])
+    def test_matches_brute_force(self, keep_min):
+        # every position set holding all translucent positions, split by
+        # whether it holds the lessdot-first opaque position
+        for w in words_up_to(AB, 5):
+            if keep_min is not None and wd.is_placeholder_only(w):
+                continue
+            base = set(wd.translucent_positions_w(w))
+            expected = set()
+            for size in range(len(w) + 1):
+                for kept in combinations(range(1, len(w) + 1), size):
+                    if not base <= set(kept):
+                        continue
+                    if keep_min is not None and (
+                            (wd.min_opaque(w) in kept) != keep_min):
+                        continue
+                    expected.add((wd.restrict_word(w, kept),
+                                  wd.translucidate_word(w, kept)))
+            cuts = list(wd.admissible_cuts(w, keep_min))
+            assert len(cuts) == len(set(cuts))
+            assert set(cuts) == expected
 
 
 class TestCoproduct:
