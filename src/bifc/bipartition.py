@@ -25,6 +25,7 @@ deterministic.
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 from functools import lru_cache
@@ -278,51 +279,48 @@ def _set_partitions_of(elems: tuple[int, ...]):
     yield from rec(1, 0)
 
 
+def _block_spans(pi: Bipartition) -> list[tuple[int, int]] | None:
+    """Standard-order rank span ``(lo, hi)`` of each block of a noncrossing ``pi``.
+
+    ``None`` when a translucent position lies strictly inside a block: then
+    no labelling is monotone.  Otherwise block ``j`` is nested in block
+    ``i`` exactly when ``lo_i < lo_j < hi_i``.
+    """
+    rank = standard_order(pi.type.alpha).rank
+    transl = [rank(p) for p in translucent_positions(pi.type)]
+    spans = []
+    for block in pi.blocks:
+        ranks = [rank(p) for p in block]
+        lo, hi = min(ranks), max(ranks)
+        if any(lo < r < hi for r in transl):
+            return None
+        spans.append((lo, hi))
+    return spans
+
+
 def _monotone_labelings(pi: Bipartition) -> list[Blocks]:
     """All block orders making ``pi`` monotone, as label-1-upward sequences.
 
     Valid labelings are the linear extensions of the nesting order (outer
-    block before inner block); a translucent position strictly nested inside
-    an opaque block rules out every labelling.
+    block before inner block), listed lexicographically by block index.
     """
-    so = standard_order(pi.type.alpha)
-    rank = so.rank
+    spans = _block_spans(pi)
+    if spans is None:
+        return []
     blocks = pi.blocks
-    spans = {}
-    for b in blocks:
-        rs = [rank(p) for p in b]
-        spans[b] = (min(rs), max(rs))
-    transl = translucent_positions(pi.type)
-    for b in blocks:
-        lo, hi = spans[b]
-        if any(lo < rank(p) < hi for p in transl):
-            return []
-    preds: dict[tuple[int, ...], set[tuple[int, ...]]] = {b: set() for b in blocks}
-    for outer in blocks:
-        lo, hi = spans[outer]
-        for inner in blocks:
-            if inner is not outer and any(lo < rank(p) < hi for p in inner):
-                preds[inner].add(outer)
+    outer = [{i for i, (lo, hi) in enumerate(spans) if lo < lo_j < hi}
+             for lo_j, _hi in spans]
 
-    out: list[Blocks] = []
-    chosen: list[tuple[int, ...]] = []
-    remaining = list(blocks)
-
-    def rec():
-        if not remaining:
-            out.append(tuple(chosen))
+    def extensions(used: frozenset):
+        if len(used) == len(blocks):
+            yield ()
             return
-        for b in list(remaining):
-            if preds[b] <= set(chosen):
-                remaining.remove(b)
-                chosen.append(b)
-                rec()
-                chosen.pop()
-                remaining.append(b)
+        for j in range(len(blocks)):
+            if j not in used and outer[j] <= used:
+                for rest in extensions(used | {j}):
+                    yield (blocks[j],) + rest
 
-    rec()
-    out.sort(key=lambda order: tuple(blocks.index(b) for b in order))
-    return out
+    return list(extensions(frozenset()))
 
 
 def _check_enum_cap(t: TranslucentWord) -> None:
@@ -337,7 +335,6 @@ def _check_enum_cap(t: TranslucentWord) -> None:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(t: TranslucentWord, cls: str):
-    _check_enum_cap(t)
     so = standard_order(t.alpha)
     opaque_sorted = so.sort_positions(opaque_positions(t))
     out = []
@@ -376,7 +373,17 @@ def enumerate_bipartitions(t: TranslucentWord, cls: str = "all") -> list:
     return list(_enumerate_cached(t, cls))
 
 
-@lru_cache(maxsize=None)
+def count_bipartitions(t: TranslucentWord, cls: str = "all") -> int:
+    """``len(enumerate_bipartitions(t, cls))``.
+
+    The monotone class is counted from :func:`monotone_block_weights`
+    without listing its labellings.
+    """
+    if cls == "monotone":
+        return sum(count for _blocks, count, _weight in monotone_block_weights(t))
+    return len(enumerate_bipartitions(t, cls))
+
+
 def monotone_block_weights(t: TranslucentWord) -> tuple[tuple[Blocks, int, Fraction], ...]:
     """Noncrossing partitions with their monotone labelling count and weight.
 
@@ -384,14 +391,23 @@ def monotone_block_weights(t: TranslucentWord) -> tuple[tuple[Blocks, int, Fract
     ``weight * product-over-blocks`` reproduces the labelled monotone sum
     without enumerating labelings per summand.
     """
-    import math
+    _check_enum_cap(t)
+    return _monotone_weights_cached(t)
 
+
+@lru_cache(maxsize=None)
+def _monotone_weights_cached(t: TranslucentWord):
+    # The labellings are the linear extensions of the nesting forest, so by
+    # the hook-length formula weight = 1 / prod(1 + blocks nested inside).
     out = []
     for pi in _enumerate_cached(t, "nc"):
-        count = len(_monotone_labelings(pi))
-        if count:
-            weight = Fraction(count, math.factorial(len(pi.blocks)))
-            out.append((pi.blocks, count, weight))
+        spans = _block_spans(pi)
+        if spans is None:
+            continue
+        den = 1
+        for lo, hi in spans:
+            den *= 1 + sum(lo < lo_j < hi for lo_j, _hi in spans)
+        out.append((pi.blocks, math.factorial(len(spans)) // den, Fraction(1, den)))
     return tuple(out)
 
 

@@ -26,6 +26,7 @@ from . import __version__
 from .bipartition import (
     CLASSES,
     EnumerationLimitError,
+    count_bipartitions,
     enumerate_bipartitions,
 )
 from .cumulants import (
@@ -86,10 +87,11 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_enumerate(args) -> int:
     t = _resolve_type(args)
-    bps = enumerate_bipartitions(t, args.cls)
     if args.format == "count":
-        _emit(f"{len(bps)}\n", args.output)
-    elif args.format == "json":
+        _emit(f"{count_bipartitions(t, args.cls)}\n", args.output)
+        return 0
+    bps = enumerate_bipartitions(t, args.cls)
+    if args.format == "json":
         payload = [bp.to_json() for bp in bps]
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
     else:

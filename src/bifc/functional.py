@@ -15,9 +15,9 @@ incomplete words:
   placeholder-only words.
 
 Anything with a ``unit_value`` (its value on every placeholder-only word)
-and an ``eval(word)`` method is a functional here: a table-backed
-:class:`Functional`, or a :class:`Lazy` rule memoized per word, which is
-what the products return.
+and an ``eval(word)`` method is a functional here.  :class:`Lazy` memoizes
+a pointwise rule per word; the products return one, and a table-backed
+:class:`Functional` is the :class:`Lazy` of its kind's rule.
 
 Duality with the coproducts of :mod:`bifc.words` gives the convolution
 ``star`` and the half-products ``prec`` and ``succ``; the preLie product is
@@ -72,10 +72,31 @@ class MissingTableEntryError(KeyError):
     """A group-kind functional was asked for a word missing from its table."""
 
 
-class Functional:
-    """A linear functional determined by a kind and a finite word table."""
+class Lazy:
+    """Functional given pointwise by ``func``, memoized per word."""
 
-    __slots__ = ("kind", "alphabet", "table", "unit_value", "_cache")
+    __slots__ = ("func", "unit_value", "_memo")
+
+    def __init__(self, func, unit_value: Fraction | int = 0):
+        self.func = func
+        self.unit_value = Q(unit_value)
+        self._memo: dict[IncompleteWord, Fraction] = {}
+
+    def eval(self, w: IncompleteWord) -> Fraction:
+        try:
+            return self._memo[w]
+        except KeyError:
+            value = self._memo[w] = self.func(w)
+            return value
+
+
+class Functional(Lazy):
+    """A linear functional determined by a kind and a finite word table.
+
+    It is the :class:`Lazy` of its kind's extension rule.
+    """
+
+    __slots__ = ("kind", "alphabet", "table")
 
     def __init__(
         self,
@@ -102,8 +123,7 @@ class Functional:
             forced = Q(unit_value) if unit_value is not None else Q(0)
         if unit_value is not None and Q(unit_value) != forced and kind != GENERIC:
             raise ValueError(f"unit value of a {kind} functional is forced to {forced}")
-        self.unit_value = forced
-        self._cache: dict[IncompleteWord, Fraction] = {}
+        super().__init__(self._kind_rule, forced)
 
     @classmethod
     def counit(cls, alphabet: Alphabet) -> "Functional":
@@ -118,22 +138,11 @@ class Functional:
                 f"{self.kind} functional has no entry for {w.text!r}"
             ) from None
 
-    def eval(self, w: IncompleteWord) -> Fraction:
-        if self.kind == GENERIC:
-            if is_placeholder_only(w):
-                return self.unit_value
-            return self.table.get(w, Q(0))
-        try:
-            return self._cache[w]
-        except KeyError:
-            pass
-        value = self._eval_uncached(w)
-        self._cache[w] = value
-        return value
-
-    def _eval_uncached(self, w: IncompleteWord) -> Fraction:
+    def _kind_rule(self, w: IncompleteWord) -> Fraction:
         if is_placeholder_only(w):
             return self.unit_value
+        if self.kind == GENERIC:
+            return self.table.get(w, Q(0))
         if self.kind == GROUP_MULTIPLICATIVE:
             components = opaque_intervals(type_of(w))
             if len(components) == 1 and len(components[0]) == len(w):
@@ -162,24 +171,6 @@ class Functional:
         return f"Functional({self.kind}, {len(self.table)} entries)"
 
 
-class Lazy:
-    """Functional given pointwise by ``func``, memoized per word."""
-
-    __slots__ = ("func", "unit_value", "_memo")
-
-    def __init__(self, func, unit_value: Fraction | int = 0):
-        self.func = func
-        self.unit_value = Q(unit_value)
-        self._memo: dict[IncompleteWord, Fraction] = {}
-
-    def eval(self, w: IncompleteWord) -> Fraction:
-        try:
-            return self._memo[w]
-        except KeyError:
-            value = self._memo[w] = self.func(w)
-            return value
-
-
 def _cut_sum(f, g, w: IncompleteWord, keep_min: bool | None) -> Fraction:
     """``f`` on the restriction times ``g`` on the translucidation, summed
     over the cuts of ``w`` selected by ``keep_min`` (see ``_cut_sets``)."""
@@ -187,7 +178,7 @@ def _cut_sum(f, g, w: IncompleteWord, keep_min: bool | None) -> Fraction:
     for kept in _cut_sets(w, keep_min):
         left = f.eval(_restrict_sorted(w, kept))
         if left:
-            total += left * g.eval(_translucidate_set(w, set(kept)))
+            total += left * g.eval(_translucidate_set(w, kept))
     return total
 
 
@@ -337,7 +328,7 @@ def exp_succ(b: Functional, max_len: int) -> Functional:
             pass
         total = Q(0)
         for kept in _cut_sets(w, False):
-            coeff = b.eval(_translucidate_set(w, set(kept)))
+            coeff = b.eval(_translucidate_set(w, kept))
             if coeff:
                 total += value(_restrict_sorted(w, kept)) * coeff
         memo[w] = total
@@ -376,7 +367,7 @@ def _star_power_values(f, top: IncompleteWord, memo, cuts_cache,
                 )
             else:
                 pairs = tuple(
-                    (_restrict_sorted(u, kept), _translucidate_set(u, set(kept)))
+                    (_restrict_sorted(u, kept), _translucidate_set(u, kept))
                     for kept in _cut_sets(u, None)
                 )
             cuts_cache[u] = pairs

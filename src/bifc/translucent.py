@@ -15,6 +15,7 @@ The canonical text encoding is ``"ALPHA,MASK"``, e.g.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import Iterable, NamedTuple
 
 from .biset import check_lr_word, restrict_lr, standard_order
@@ -142,28 +143,34 @@ def factorizations(t: TranslucentWord) -> list[tuple[TranslucentWord, Translucen
     translucent positions of ``t`` and all of ``1..|t|``, via
     ``r = restrict(t, J)`` and ``s = translucidate(t, J)``; hence there are
     exactly ``2**(number of opaque positions)`` of them.  Pairs are listed
-    with ``J`` in lexicographic order.
+    with ``J`` in the order of :func:`cut_sets`.
+    """
+    return [(_restrict_sorted(t, j), translucidate(t, j)) for j in cut_sets(t, None)]
+
+
+@lru_cache(maxsize=65536)
+def cut_sets(t: TranslucentWord, keep_min: bool | None) -> tuple[tuple[int, ...], ...]:
+    """The sets ``J`` of :func:`factorizations`, each sorted naturally.
+
+    Every set holds all translucent positions of ``t`` and some of the
+    opaque ones, chosen in binary counting order (the naturally last
+    opaque position toggles fastest).  ``keep_min`` splits the sets at the
+    lessdot-first opaque position: ``True`` keeps it, ``False`` drops it,
+    ``None`` yields both kinds.
     """
     base = translucent_positions(t)
     free = opaque_positions(t)
-    out = []
-    for choice in _subsets_lex(free):
-        j = sorted(base + choice)
-        out.append((_restrict_sorted(t, j), translucidate(t, j)))
-    return out
-
-
-def _subsets_lex(elems: tuple[int, ...]):
-    """Subsets of a sorted tuple in lexicographic order of the subset tuple."""
-    n = len(elems)
-
-    def rec(start: int):
-        yield ()
-        for k in range(start, n):
-            for rest in rec(k + 1):
-                yield (elems[k],) + rest
-
-    return rec(0)
+    head: tuple[int, ...] = ()
+    if keep_min is not None:
+        if not free:
+            raise ValueError(f"type has no opaque position: {t}")
+        first = standard_order(t.alpha).min_of(free)
+        free = tuple(p for p in free if p != first)
+        head = (first,) if keep_min else ()
+    return tuple(
+        tuple(sorted(base + head + tuple(p for p, b in zip(free, bits) if b)))
+        for bits in product((False, True), repeat=len(free))
+    )
 
 
 def split(t: TranslucentWord, i: int) -> tuple[TranslucentWord, TranslucentWord]:
@@ -263,8 +270,6 @@ def iota(t: TranslucentWord) -> tuple[int, ...]:
 
 def all_words(max_len: int, min_len: int = 0):
     """All translucent words of length ``min_len..max_len`` (lexicographic)."""
-    from itertools import product
-
     for n in range(min_len, max_len + 1):
         for alpha in product("LR", repeat=n):
             for mask in product("01", repeat=n):

@@ -178,20 +178,15 @@ def _right_factors(t: tr.TranslucentWord):
 def _exchange_assoc_first(t: tr.TranslucentWord, checked: int):
     from .biset import standard_order
 
-    so = standard_order(t.alpha)
-    transl = [p for p in tr.translucent_positions(t)]
-    transl.sort(key=so.rank)
+    transl = standard_order(t.alpha).sort_positions(tr.translucent_positions(t))
     for a in range(len(transl)):
         for b in range(a + 1, len(transl)):
             i, j = transl[a], transl[b]
-            before_j = so.before(j)
-            t_upto_j = tr.restrict(t, before_j)
+            _, after_i, seg_minus, t_from_i = tr._split_at(t, i)
+            before_j, _, t_upto_j, seg_plus = tr._split_at(t, j)
             i_in_j = before_j.index(i) + 1
-            after_i = so.after(i)
-            t_from_i = tr.restrict(t, after_i)
             j_in_i = after_i.index(j) + 1
-            seg_minus, seg_mid = tr.split(t_upto_j, i_in_j)
-            seg_plus = tr.split(t_from_i, j_in_i)[1]
+            seg_mid = tr.split(t_upto_j, i_in_j)[1]
             plus_factors = _right_factors(seg_plus)
             # s_hi depends on (s_mid, s_plus) only and s_lo on
             # (s_minus, s_mid) only: merge each pair once.
@@ -218,12 +213,10 @@ def _exchange_assoc_first(t: tr.TranslucentWord, checked: int):
 def _exchange_assoc_second(t: tr.TranslucentWord, checked: int):
     for i in tr.translucent_positions(t):
         t_minus, t_plus = tr.split(t, i)
-        plus = []
-        for s_plus in _right_factors(t_plus):
-            c_plus = tr.restrict(t_plus, tr.translucent_positions(s_plus))
-            plus.append((s_plus, [(r_plus, tr.compose(r_plus, s_plus))
-                                  for r_plus in _right_factors(c_plus)]))
-        for s_minus in _right_factors(t_minus):
+        plus = [(s_plus, [(r_plus, tr.compose(r_plus, s_plus))
+                          for r_plus in _right_factors(c_plus)])
+                for c_plus, s_plus in tr.factorizations(t_plus)]
+        for c_minus, s_minus in tr.factorizations(t_minus):
             # the merge of (s_minus, s_plus) does not depend on the r factors
             big = {}
             for s_plus, _ in plus:
@@ -231,7 +224,6 @@ def _exchange_assoc_second(t: tr.TranslucentWord, checked: int):
                 i_prime = tr.translucent_positions(big_s).index(i) + 1
                 big[s_plus] = (big_r, big_s, i_prime,
                                tr.compose(big_r, big_s) == t)
-            c_minus = tr.restrict(t_minus, tr.translucent_positions(s_minus))
             for r_minus in _right_factors(c_minus):
                 rs_minus = tr.compose(r_minus, s_minus)
                 for s_plus, r_pluses in plus:
@@ -271,9 +263,8 @@ def _compat_counters(w_minus, w_plus, t, i, halves: str):
         s_minus = wd.type_of(u_minus)
         for ell_plus, u_plus in wd.admissible_cuts(w_plus):
             s_plus = wd.type_of(u_plus)
-            _r, s = tr.exchange(s_minus, s_plus, t, i)
+            r, s = tr.exchange(s_minus, s_plus, t, i)
             u = wd.horizontal_product(u_minus, u_plus, s, i)
-            r = tr.restrict(t, tr.translucent_positions(s))
             i_prime = tr.translucent_positions(s).index(i) + 1
             ell = wd.horizontal_product(ell_minus, ell_plus, r, i_prime)
             rhs[(ell, u)] += 1

@@ -30,8 +30,9 @@ from typing import Iterable, Iterator, NamedTuple
 from .biset import LEFT, RIGHT, standard_order
 from .translucent import (
     TranslucentWord,
+    _split_at,
     composable,
-    restrict as restrict_type,
+    cut_sets,
     source,
     target,
     translucent_positions,
@@ -164,7 +165,8 @@ def restrict_word(w: IncompleteWord, positions: Iterable[int]) -> IncompleteWord
     return _restrict_sorted(w, pos)
 
 
-def _translucidate_set(w: IncompleteWord, pos: set) -> IncompleteWord:
+def _translucidate_set(w: IncompleteWord, pos) -> IncompleteWord:
+    # pos is any container of in-range positions
     letters = tuple(
         w.sides[i - 1] if i in pos else x for i, x in enumerate(w.letters, start=1)
     )
@@ -244,20 +246,9 @@ def min_opaque(w: IncompleteWord) -> int:
 def _cut_sets(w: IncompleteWord, keep_min: bool | None = None):
     """Sorted kept position sets of the admissible cuts of ``w``.
 
-    Every set contains all translucent positions.  ``keep_min`` splits the
-    sets at the lessdot-first opaque position: ``True`` keeps it, ``False``
-    drops it, ``None`` yields both kinds.
+    These depend on the type only: see :func:`bifc.translucent.cut_sets`.
     """
-    base = translucent_positions_w(w)
-    free = opaque_positions_w(w)
-    if keep_min is None:
-        head: tuple[int, ...] = ()
-    else:
-        wmin = min_opaque(w)
-        free = tuple(p for p in free if p != wmin)
-        head = (wmin,) if keep_min else ()
-    for bits in product((False, True), repeat=len(free)):
-        yield tuple(sorted(base + head + tuple(p for p, b in zip(free, bits) if b)))
+    return cut_sets(type_of(w), keep_min)
 
 
 def admissible_cuts(
@@ -270,7 +261,7 @@ def admissible_cuts(
     lessdot-first opaque position.  The trivial cuts are included.
     """
     for kept in _cut_sets(w, keep_min):
-        yield _restrict_sorted(w, kept), _translucidate_set(w, set(kept))
+        yield _restrict_sorted(w, kept), _translucidate_set(w, kept)
 
 
 def coproduct(w: IncompleteWord) -> WordSum:
@@ -327,16 +318,11 @@ def horizontal_product(
     """
     if t.mask[i - 1] != "0":
         raise ValueError(f"ambient position {i} is not translucent in {t}")
-    so = standard_order(t.alpha)
-    before, after = so.before(i), so.after(i)
-    if type_of(w_minus) != restrict_type(t, before):
-        raise ValueError(
-            f"left factor type {type_of(w_minus)} != split {restrict_type(t, before)}"
-        )
-    if type_of(w_plus) != restrict_type(t, after):
-        raise ValueError(
-            f"right factor type {type_of(w_plus)} != split {restrict_type(t, after)}"
-        )
+    before, after, t_minus, t_plus = _split_at(t, i)
+    if type_of(w_minus) != t_minus:
+        raise ValueError(f"left factor type {type_of(w_minus)} != split {t_minus}")
+    if type_of(w_plus) != t_plus:
+        raise ValueError(f"right factor type {type_of(w_plus)} != split {t_plus}")
     letters: list[str] = list(t.alpha)
     for k, p in enumerate(before):
         letters[p - 1] = w_minus.letters[k]
@@ -377,8 +363,10 @@ def reassemble(factors: list[IncompleteWord], t: TranslucentWord) -> IncompleteW
         raise ValueError(f"expected {len(cuts) + 1} factors, got {len(factors)}")
     w = factors[-1]
     for j in range(len(cuts) - 1, -1, -1):
-        ambient_positions = so.after(cuts[j - 1]) if j else tuple(range(1, len(t.alpha) + 1))
-        ambient = restrict_type(t, ambient_positions)
+        if j:
+            _, ambient_positions, _, ambient = _split_at(t, cuts[j - 1])
+        else:
+            ambient_positions, ambient = tuple(range(1, len(t.alpha) + 1)), t
         i_local = ambient_positions.index(cuts[j]) + 1
         w = horizontal_product(factors[j], w, ambient, i_local)
     return w

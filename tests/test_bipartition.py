@@ -238,16 +238,22 @@ class TestEnumerate:
             assert sorted(got) == sorted(expected)
 
     def test_monotone_block_weights_collapse(self):
-        t = tw("LLLL", "1111")
-        labelled = bp.enumerate_bipartitions(t, "monotone")
-        weights = dict()
-        for blocks, count, weight in bp.monotone_block_weights(t):
-            weights[blocks] = (count, weight)
-            assert weight * math.factorial(len(blocks)) == count
-        by_base = {}
-        for lp in labelled:
-            by_base[lp.base.blocks] = by_base.get(lp.base.blocks, 0) + 1
-        assert {b: c for b, (c, _w) in weights.items()} == by_base
+        for t in tr.all_words(5):
+            labelled = bp.enumerate_bipartitions(t, "monotone")
+            weights = dict()
+            for blocks, count, weight in bp.monotone_block_weights(t):
+                weights[blocks] = (count, weight)
+                assert weight * math.factorial(len(blocks)) == count
+            by_base = {}
+            for lp in labelled:
+                by_base[lp.base.blocks] = by_base.get(lp.base.blocks, 0) + 1
+            assert {b: c for b, (c, _w) in weights.items()} == by_base
+
+    @pytest.mark.parametrize("cls", bp.CLASSES)
+    def test_count_matches_enumeration(self, cls):
+        for t in tr.all_words(5):
+            assert bp.count_bipartitions(t, cls) == len(
+                bp.enumerate_bipartitions(t, cls))
 
     def test_unknown_class(self):
         with pytest.raises(ValueError):
@@ -261,6 +267,26 @@ class TestEnumerate:
         assert bp._enum_cap() == bp.DEFAULT_MAX_OPAQUE
         monkeypatch.setenv(bp.MAX_ENUM_ENV, "99")
         assert bp._enum_cap() == bp.HARD_MAX_OPAQUE
+
+    def test_guardrail_after_cached_call(self, monkeypatch):
+        # a cached result must not skip the cap read on a later call
+        from bifc.functional import class_terms
+
+        t = tr.fully_opaque("LRL")
+        for cls in bp.CLASSES:
+            bp.count_bipartitions(t, cls)
+            list(class_terms(t, cls))
+        bp.monotone_block_weights(t)
+        monkeypatch.setenv(bp.MAX_ENUM_ENV, "2")
+        for cls in bp.CLASSES:
+            with pytest.raises(bp.EnumerationLimitError):
+                bp.enumerate_bipartitions(t, cls)
+            with pytest.raises(bp.EnumerationLimitError):
+                bp.count_bipartitions(t, cls)
+            with pytest.raises(bp.EnumerationLimitError):
+                list(class_terms(t, cls))
+        with pytest.raises(bp.EnumerationLimitError):
+            bp.monotone_block_weights(t)
 
 
 class TestCompose:

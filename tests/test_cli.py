@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from bifc import cli
-from bifc.bipartition import _enumerate_cached, make_bipartition, make_labeled
+from bifc.bipartition import make_bipartition, make_labeled
 from bifc.cumulants import FAMILIES
 from bifc.diagrams import render_svg
 from bifc.translucent import TranslucentWord
@@ -34,6 +34,12 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--type", "LLL,000",
                            "--format", "count")
         assert code == 0 and out == "1\n"
+
+    def test_count_monotone_ten_opaque(self, capsys):
+        # 11!/2 labelled monotone bipartitions, counted without listing them
+        code, out, _ = run(capsys, "enumerate", "--type",
+                           "LRRLLRRRLL,1111111111", "--class", "monotone")
+        assert code == 0 and out == "19958400\n"
 
     def test_word_argument(self, capsys):
         # three opaque letters: all five set partitions
@@ -70,7 +76,6 @@ class TestEnumerate:
     @pytest.mark.parametrize("raw", ["abc", "-1"])
     def test_guardrail_rejects_bad_value(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("BIFC_MAX_ENUM", raw)
-        _enumerate_cached.cache_clear()  # a cached result skips the cap check
         code, out, err = run(capsys, "enumerate", "--type", "LLL,111",
                              "--class", "nc", "--format", "count")
         assert code == 2 and out == ""

@@ -101,6 +101,22 @@ class TestCutGenerator:
             assert len(cuts) == len(set(cuts))
             assert set(cuts) == expected
 
+    def test_factorizations_match_brute_force(self):
+        # one pair (restrict(t, J), translucidate(t, J)) per set J between
+        # the translucent positions of t and all of its positions
+        for t in tr.all_words(5):
+            n = len(t.alpha)
+            base = set(tr.translucent_positions(t))
+            expected = {
+                (tr.restrict(t, kept), tr.translucidate(t, kept))
+                for size in range(n + 1)
+                for kept in combinations(range(1, n + 1), size)
+                if base <= set(kept)
+            }
+            pairs = tr.factorizations(t)
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == expected
+
 
 class TestCoproduct:
     def test_golden_eight_terms(self):
