@@ -18,9 +18,11 @@ component:
   With no translucent positions the condition is vacuous, so shaded means
   plain noncrossing there.
 
-Enumeration generates restricted-growth strings over the opaque positions
-sorted by the standard order and filters by predicate; order of output is
-deterministic.
+Each class is one growth rule (:func:`_grow`): the positions are met in
+standard order and each opaque one joins an allowed block or opens a new
+one.  Enumeration walks that rule as a tree, in lexicographic
+restricted-growth order; the predicates replay a given partition through
+it.
 """
 
 from __future__ import annotations
@@ -79,9 +81,6 @@ class LabeledBipartition(NamedTuple):
         data["order"] = [index[b] for b in self.order]
         return data
 
-    def label_of(self, block: tuple[int, ...]) -> int:
-        return self.order.index(block) + 1
-
     def __str__(self) -> str:
         body = "|".join(",".join(map(str, b)) for b in self.order)
         return f"{self.base.type.encode()};labels:{body}"
@@ -129,56 +128,85 @@ def from_json(data: dict) -> Bipartition | LabeledBipartition:
 
 
 # ---------------------------------------------------------------------------
-# class predicates
+# class rules: one growth step per class
 
-def _extended_blocks(pi: Bipartition) -> Blocks:
-    extra = translucent_positions(pi.type)
-    return pi.blocks + ((extra,) if extra else ())
+_TRANSLUCENT = -1  # the translucent block on a growth stack
 
 
-def _noncrossing_ranked(blocks: Blocks, rank) -> bool:
-    # stack scan over standard-order ranks: a block may only close or
-    # continue while it is topmost
-    events: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for bi, block in enumerate(blocks):
-        for p in block:
-            events[rank(p)] = bi
-            last[bi] = max(last.get(bi, 0), rank(p))
-    stack: list[int] = []
-    opened: set[int] = set()
-    for r in sorted(events):
-        bi = events[r]
-        if stack and stack[-1] == bi:
-            pass
-        elif bi in opened:
-            return False
-        else:
-            stack.append(bi)
-            opened.add(bi)
-        if r == last[bi]:
-            if stack[-1] != bi:
-                return False
-            stack.pop()
-    return True
+def _grow(t: TranslucentWord, cls: str, leaf, owner: dict[int, int] | None = None) -> None:
+    """Walk the growth tree of class ``cls`` on ``t``, calling ``leaf(blocks)`` per leaf.
+
+    The positions are met in standard order.  Each opaque one joins a block
+    of ``stack``, in opening order, or opens a new block, so the leaves come
+    in lexicographic restricted-growth order.  ``stack`` holds the joinable
+    blocks: all of them for ``all``, the block of the previous opaque
+    position for ``interval``.  For the noncrossing classes it is the stack
+    of open blocks, translucent block included: joining a block closes the
+    blocks above it; a translucent position does the same for the
+    translucent block, pushes it the first time, and kills the branch if it
+    was closed.  ``shaded_nc`` also closes every opaque block at the
+    naturally first translucent position.
+
+    ``leaf`` gets the live block lists.  With ``owner`` (opaque position to
+    block index in opening order) only that choice is taken: one partition
+    is replayed, and it reaches a leaf iff it is in the class.
+    """
+    perm = standard_order(t.alpha).perm
+    opaque = [t.mask[p - 1] == "1" for p in perm]
+    transl = translucent_positions(t)
+    shade_at = transl[0] if cls == "shaded_nc" and transl else None
+    stacked = cls in ("nc", "shaded_nc", "monotone")
+    blocks: list[list[int]] = []
+
+    def step(k: int, stack: tuple[int, ...], seen: bool) -> None:
+        while k < len(perm) and not opaque[k]:
+            if stacked:
+                if _TRANSLUCENT in stack:
+                    stack = stack[:stack.index(_TRANSLUCENT) + 1]
+                elif seen:
+                    return
+                else:
+                    stack += (_TRANSLUCENT,)
+                if perm[k] == shade_at:
+                    stack = (_TRANSLUCENT,)
+            seen = True
+            k += 1
+        if k == len(perm):
+            leaf(blocks)
+            return
+        p = perm[k]
+        for i, b in enumerate(stack):
+            if b != _TRANSLUCENT and (owner is None or owner[p] == b):
+                blocks[b].append(p)
+                step(k + 1, stack[:i + 1] if stacked else stack, seen)
+                blocks[b].pop()
+        new = len(blocks)
+        if owner is None or owner[p] == new:
+            blocks.append([p])
+            step(k + 1, (new,) if cls == "interval" else stack + (new,), seen)
+            blocks.pop()
+
+    step(0, (), False)
+
+
+def _replays(pi: Bipartition, cls: str) -> bool:
+    """Whether ``pi`` survives the growth rule of ``cls`` with its own choices."""
+    rank = standard_order(pi.type.alpha).rank
+    opened = sorted(pi.blocks, key=lambda b: min(map(rank, b)))
+    owner = {p: j for j, block in enumerate(opened) for p in block}
+    leaves: list = []
+    _grow(pi.type, cls, leaves.append, owner)
+    return bool(leaves)
 
 
 def is_noncrossing(pi: Bipartition) -> bool:
     """Noncrossing for the standard order, translucent block included."""
-    so = standard_order(pi.type.alpha)
-    return _noncrossing_ranked(_extended_blocks(pi), so.rank)
+    return _replays(pi, "nc")
 
 
 def is_interval(pi: Bipartition) -> bool:
     """Every block contiguous inside the opaque positions, standard order."""
-    so = standard_order(pi.type.alpha)
-    opaque_sorted = so.sort_positions(opaque_positions(pi.type))
-    pos_rank = {p: k for k, p in enumerate(opaque_sorted)}
-    for block in pi.blocks:
-        ranks = sorted(pos_rank[p] for p in block)
-        if ranks[-1] - ranks[0] + 1 != len(ranks):
-            return False
-    return True
+    return _replays(pi, "interval")
 
 
 def _nesting_violation(blocks: Blocks, labels: dict[tuple[int, ...], int], rank) -> bool:
@@ -223,21 +251,7 @@ def is_shaded(pi: Bipartition) -> bool:
     """
     if not is_noncrossing(pi):
         raise ValueError(f"is_shaded requires a noncrossing bipartition: {pi}")
-    transl = translucent_positions(pi.type)
-    if not transl:
-        return True
-    m = min(transl)
-    side = pi.type.alpha[m - 1]
-    guarded = {
-        k for k in range(1, m) if pi.type.mask[k - 1] == "1" and pi.type.alpha[k - 1] == side
-    }
-    if not guarded:
-        return True
-    for block in pi.blocks:
-        if any(p in guarded for p in block):
-            if not all(q < m and pi.type.alpha[q - 1] == side for q in block):
-                return False
-    return True
+    return _replays(pi, "shaded_nc")
 
 
 # ---------------------------------------------------------------------------
@@ -255,28 +269,6 @@ def _enum_cap() -> int:
         raise EnumerationLimitError(
             f"{MAX_ENUM_ENV} must be a nonnegative integer, got {raw!r}") from None
     return min(cap, HARD_MAX_OPAQUE)
-
-
-def _set_partitions_of(elems: tuple[int, ...]):
-    """Set partitions of a sequence, in lexicographic restricted-growth order."""
-    n = len(elems)
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-
-    def rec(k: int, mx: int):
-        if k == n:
-            blocks: list[list[int]] = [[] for _ in range(mx + 1)]
-            for idx, b in enumerate(rgs):
-                blocks[b].append(elems[idx])
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in range(mx + 2):
-            rgs[k] = b
-            yield from rec(k + 1, max(mx, b))
-
-    yield from rec(1, 0)
 
 
 def _block_spans(pi: Bipartition) -> list[tuple[int, int]] | None:
@@ -323,6 +315,12 @@ def _monotone_labelings(pi: Bipartition) -> list[Blocks]:
     return list(extensions(frozenset()))
 
 
+def _check_request(t: TranslucentWord, cls: str) -> None:
+    if cls not in CLASSES:
+        raise ValueError(f"unknown bipartition class {cls!r}; choose from {CLASSES}")
+    _check_enum_cap(t)
+
+
 def _check_enum_cap(t: TranslucentWord) -> None:
     size = len(opaque_positions(t))
     cap = _enum_cap()
@@ -335,28 +333,15 @@ def _check_enum_cap(t: TranslucentWord) -> None:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(t: TranslucentWord, cls: str):
-    so = standard_order(t.alpha)
-    opaque_sorted = so.sort_positions(opaque_positions(t))
     out = []
-    for raw in _set_partitions_of(opaque_sorted):
-        pi = make_bipartition(t, raw)
-        if cls == "all":
-            out.append(pi)
-        elif cls == "nc":
-            if is_noncrossing(pi):
-                out.append(pi)
-        elif cls == "interval":
-            if is_interval(pi):
-                out.append(pi)
-        elif cls == "shaded_nc":
-            if is_noncrossing(pi) and is_shaded(pi):
-                out.append(pi)
-        elif cls == "monotone":
-            if is_noncrossing(pi):
-                for order in _monotone_labelings(pi):
-                    out.append(LabeledBipartition(pi, order))
-        else:
-            raise ValueError(f"unknown bipartition class {cls!r}; choose from {CLASSES}")
+    if cls == "monotone":
+        def leaf(blocks):
+            pi = make_bipartition(t, blocks)
+            out.extend(LabeledBipartition(pi, order) for order in _monotone_labelings(pi))
+    else:
+        def leaf(blocks):
+            out.append(make_bipartition(t, blocks))
+    _grow(t, cls, leaf)
     return tuple(out)
 
 
@@ -367,21 +352,27 @@ def enumerate_bipartitions(t: TranslucentWord, cls: str = "all") -> list:
     ``shaded_nc``; the monotone class yields :class:`LabeledBipartition`,
     the others :class:`Bipartition`.
     """
-    if cls not in CLASSES:
-        raise ValueError(f"unknown bipartition class {cls!r}; choose from {CLASSES}")
-    _check_enum_cap(t)
+    _check_request(t, cls)
     return list(_enumerate_cached(t, cls))
 
 
 def count_bipartitions(t: TranslucentWord, cls: str = "all") -> int:
-    """``len(enumerate_bipartitions(t, cls))``.
+    """``len(enumerate_bipartitions(t, cls))``, without listing anything.
 
-    The monotone class is counted from :func:`monotone_block_weights`
-    without listing its labellings.
+    Counts the leaves of the growth tree; the monotone class sums the
+    labelling counts of :func:`monotone_block_weights`.
     """
     if cls == "monotone":
         return sum(count for _blocks, count, _weight in monotone_block_weights(t))
-    return len(enumerate_bipartitions(t, cls))
+    _check_request(t, cls)
+    leaves = 0
+
+    def leaf(_blocks):
+        nonlocal leaves
+        leaves += 1
+
+    _grow(t, cls, leaf)
+    return leaves
 
 
 def monotone_block_weights(t: TranslucentWord) -> tuple[tuple[Blocks, int, Fraction], ...]:

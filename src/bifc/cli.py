@@ -79,8 +79,11 @@ def _resolve_type(args) -> TranslucentWord:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {output}: {exc}")
     else:
         sys.stdout.write(text)
 

@@ -40,20 +40,17 @@ def _positions_geometry(t: TranslucentWord):
 
 def _block_elements(t: TranslucentWord, bp: Bipartition | LabeledBipartition):
     if isinstance(bp, LabeledBipartition):
-        base = bp.base
         labelled = [(block, k) for k, block in enumerate(bp.order, start=1)]
     else:
-        base = bp
         labelled = [(block, None) for block in bp.blocks]
-    transl = translucent_positions(t)
-    return base, labelled, transl
+    return labelled, translucent_positions(t)
 
 
 def render_bipartition(bp: Bipartition | LabeledBipartition, x_offset: int = 0) -> list[str]:
     """SVG fragment (list of elements) for one diagram at a horizontal offset."""
     t = bp.base.type if isinstance(bp, LabeledBipartition) else bp.type
     coords = _positions_geometry(t)
-    base, labelled, transl = _block_elements(t, bp)
+    labelled, transl = _block_elements(t, bp)
     n = len(t.alpha)
     height = TOP + STEP * (n + 1)
     out = []

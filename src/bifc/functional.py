@@ -41,6 +41,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .bipartition import enumerate_bipartitions, monotone_block_weights
+from .biset import standard_order
 from .translucent import opaque_intervals
 from .words import (
     Alphabet,
@@ -247,8 +248,6 @@ def prelie_interval_form(f: Functional, g: Functional, w: IncompleteWord) -> Fra
     """
     if f.kind != LIE_INTERVAL or g.kind != LIE_INTERVAL:
         raise ValueError("closed form applies to lie_interval functionals")
-    from .biset import standard_order
-
     components = opaque_intervals(type_of(w))
     if len(components) != 1:
         return Q(0)
@@ -301,8 +300,6 @@ def _interval_cuts(sides: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
     cuts whose translucidation can carry a nonzero interval-kind value; the
     complement run is returned alongside.
     """
-    from .biset import standard_order
-
     so = standard_order(sides)
     n = len(sides)
     out = []

@@ -34,6 +34,7 @@ from . import functional as fn
 from . import single_faced as sf
 from . import translucent as tr
 from . import words as wd
+from .biset import standard_order
 
 Q = Fraction
 
@@ -176,8 +177,6 @@ def _right_factors(t: tr.TranslucentWord):
 
 
 def _exchange_assoc_first(t: tr.TranslucentWord, checked: int):
-    from .biset import standard_order
-
     transl = standard_order(t.alpha).sort_positions(tr.translucent_positions(t))
     for a in range(len(transl)):
         for b in range(a + 1, len(transl)):

@@ -59,6 +59,32 @@ def crossing_quartet_exists(blocks, rank):
     return False
 
 
+# independent references for interval and shaded, from their definitions
+def interval_reference(t, blocks):
+    # every block contiguous among the opaque positions in standard order
+    slot = {p: k for k, p in enumerate(
+        standard_order(t.alpha).sort_positions(tr.opaque_positions(t)))}
+    return all(max(slot[p] for p in b) - min(slot[p] for p in b) + 1 == len(b)
+               for b in blocks)
+
+
+def shaded_reference(t, blocks):
+    # natural order: with m the first translucent position, a block meeting
+    # the positions k < m on m's string lies inside them
+    transl = tr.translucent_positions(t)
+    if not transl:
+        return True
+    m = transl[0]
+    guarded = {k for k in range(1, m) if t.alpha[k - 1] == t.alpha[m - 1]}
+    return all(set(b) <= guarded or not set(b) & guarded for b in blocks)
+
+
+def rgs_bipartitions(t):
+    # every bipartition of t, in restricted-growth order over the standard order
+    opaque_sorted = standard_order(t.alpha).sort_positions(tr.opaque_positions(t))
+    return [bp.make_bipartition(t, raw) for raw in rgs_partitions(opaque_sorted)]
+
+
 class TestConstruction:
     def test_blocks_canonical_order(self):
         pi = mk("RL", "11", [[1], [2]])
@@ -118,6 +144,15 @@ class TestInterval:
         assert bp.is_interval(mk("LLL", "101", [[1, 3]]))
 
 
+    def test_against_definition(self):
+        for t in tr.all_words(6):
+            every = rgs_bipartitions(t)
+            expected = [pi for pi in every if interval_reference(t, pi.blocks)]
+            for pi in every:
+                assert bp.is_interval(pi) == interval_reference(t, pi.blocks)
+            assert bp.enumerate_bipartitions(t, "interval") == expected
+
+
 class TestMonotone:
     def test_single_block(self):
         lp = bp.make_labeled(tw("LL", "11"), [[1, 2]], [[1, 2]])
@@ -171,6 +206,22 @@ class TestShaded:
         crossing = mk("LLLL", "1111", [[1, 3], [2, 4]])
         with pytest.raises(ValueError):
             bp.is_shaded(crossing)
+
+    def test_against_definition(self):
+        for t in tr.all_words(6):
+            rank = standard_order(t.alpha).rank
+            transl = tr.translucent_positions(t)
+            expected = []
+            for pi in rgs_bipartitions(t):
+                extended = list(pi.blocks) + ([list(transl)] if transl else [])
+                if crossing_quartet_exists(extended, rank):
+                    with pytest.raises(ValueError):
+                        bp.is_shaded(pi)
+                    continue
+                assert bp.is_shaded(pi) == shaded_reference(t, pi.blocks)
+                if shaded_reference(t, pi.blocks):
+                    expected.append(pi)
+            assert bp.enumerate_bipartitions(t, "shaded_nc") == expected
 
     def test_blocks_stay_in_components_and_counting_bijection(self):
         for t in tr.all_words(6, min_len=1):

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from bifc import cli
-from bifc.bipartition import make_bipartition, make_labeled
+from bifc.bipartition import CLASSES, make_bipartition, make_labeled
 from bifc.cumulants import FAMILIES
 from bifc.diagrams import render_svg
 from bifc.translucent import TranslucentWord
@@ -80,6 +80,19 @@ class TestEnumerate:
                              "--class", "nc", "--format", "count")
         assert code == 2 and out == ""
         assert err.startswith("error: BIFC_MAX_ENUM must be a nonnegative integer")
+
+
+def test_unwritable_output(tmp_path, capsys):
+    # a write failure is a usage error (exit 2), not a verification failure
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"variables": {"a": "L"}, "moments": {"a": "1"}}))
+    target = str(tmp_path / "missing" / "out")
+    for argv in (("enumerate", "--type", "LL,11", "--output", target),
+                 ("convert", "--input", str(src), "--from", "moments",
+                  "--to", "bifree", "--max-len", "1", "--output", target)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write")
 
 
 class TestSvg:
@@ -218,7 +231,10 @@ class TestGolden:
     word of length <= 4 over ``aL bL | aR bR``; the cumulant inputs are the
     same table tagged with a family.  The golden files were written by the
     CLI as it stood before its cut, lazy-functional and block-sum loops were
-    merged, so any change in the exact values shows up here.
+    merged, so any change in the exact values shows up here.  The
+    ``enumerate_*`` files were written by the CLI as it stood before
+    enumeration grew each class directly instead of filtering every set
+    partition, on types with two translucent positions.
     """
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -238,6 +254,21 @@ class TestGolden:
                            "--from", family, "--to", "moments", "--max-len", "4")
         assert code == 0
         assert out == (GOLDEN / f"{family}_to_moments.json").read_text()
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    @pytest.mark.parametrize("type_", ["LRLLRL,110101", "RLLRLR,101101", "RLRRLR,110101"])
+    def test_enumerate_json(self, capsys, cls, type_):
+        code, out, _ = run(capsys, "enumerate", "--type", type_, "--class", cls,
+                           "--format", "json")
+        assert code == 0
+        name = f"enumerate_{cls}_{type_.replace(',', '_')}.json"
+        assert out == (GOLDEN / name).read_text()
+
+    def test_enumerate_svg(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--type", "LRLL,0111",
+                           "--class", "shaded_nc", "--format", "svg")
+        assert code == 0
+        assert out == (GOLDEN / "enumerate_shaded_nc_LRLL_0111.svg").read_text()
 
     def test_verify_text(self, capsys):
         code, out, _ = run(capsys, "verify", "--max-len", "3", "--seed", "1")
