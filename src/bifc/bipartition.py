@@ -22,13 +22,17 @@ Each class is one growth rule (:func:`_grow`): the positions are met in
 standard order and each opaque one joins an allowed block or opens a new
 one.  Enumeration walks that rule as a tree, in lexicographic
 restricted-growth order; the predicates replay a given partition through
-it.
+it.  The monotone rule grows the block sets that admit a monotone
+labelling; each leaf carries its number of labellings by the hook-length
+formula, so counting and the weighted terms of :func:`class_terms` take
+one walk and list nothing.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -145,7 +149,9 @@ def _grow(t: TranslucentWord, cls: str, leaf, owner: dict[int, int] | None = Non
     blocks above it; a translucent position does the same for the
     translucent block, pushes it the first time, and kills the branch if it
     was closed.  ``shaded_nc`` also closes every opaque block at the
-    naturally first translucent position.
+    naturally first translucent position, and ``monotone`` at every
+    translucent position: the translucent block has the lowest label, so
+    it may not nest inside an opaque block.
 
     ``leaf`` gets the live block lists.  With ``owner`` (opaque position to
     block index in opening order) only that choice is taken: one partition
@@ -167,7 +173,7 @@ def _grow(t: TranslucentWord, cls: str, leaf, owner: dict[int, int] | None = Non
                     return
                 else:
                     stack += (_TRANSLUCENT,)
-                if perm[k] == shade_at:
+                if cls == "monotone" or perm[k] == shade_at:
                     stack = (_TRANSLUCENT,)
             seen = True
             k += 1
@@ -271,35 +277,16 @@ def _enum_cap() -> int:
     return min(cap, HARD_MAX_OPAQUE)
 
 
-def _block_spans(pi: Bipartition) -> list[tuple[int, int]] | None:
-    """Standard-order rank span ``(lo, hi)`` of each block of a noncrossing ``pi``.
-
-    ``None`` when a translucent position lies strictly inside a block: then
-    no labelling is monotone.  Otherwise block ``j`` is nested in block
-    ``i`` exactly when ``lo_i < lo_j < hi_i``.
-    """
-    rank = standard_order(pi.type.alpha).rank
-    transl = [rank(p) for p in translucent_positions(pi.type)]
-    spans = []
-    for block in pi.blocks:
-        ranks = [rank(p) for p in block]
-        lo, hi = min(ranks), max(ranks)
-        if any(lo < r < hi for r in transl):
-            return None
-        spans.append((lo, hi))
-    return spans
-
-
 def _monotone_labelings(pi: Bipartition) -> list[Blocks]:
     """All block orders making ``pi`` monotone, as label-1-upward sequences.
 
-    Valid labelings are the linear extensions of the nesting order (outer
-    block before inner block), listed lexicographically by block index.
+    ``pi`` is a leaf of the monotone rule.  Valid labelings are the linear
+    extensions of the nesting order (outer block before inner block),
+    listed lexicographically by block index.
     """
-    spans = _block_spans(pi)
-    if spans is None:
-        return []
+    rank = standard_order(pi.type.alpha).rank
     blocks = pi.blocks
+    spans = [(min(map(rank, b)), max(map(rank, b))) for b in blocks]
     outer = [{i for i, (lo, hi) in enumerate(spans) if lo < lo_j < hi}
              for lo_j, _hi in spans]
 
@@ -315,13 +302,34 @@ def _monotone_labelings(pi: Bipartition) -> list[Blocks]:
     return list(extensions(frozenset()))
 
 
+def _walk(t: TranslucentWord, cls: str, leaf) -> None:
+    """:func:`_grow`, calling ``leaf(blocks, count)`` with the entries per leaf.
+
+    ``count`` is 1, except for ``monotone``: its labellings are the linear
+    extensions of the nesting forest, ``m!/prod(hook)`` by the hook-length
+    formula, where the hook of a block is 1 plus the number of blocks
+    nested in it.  The leaf's blocks come in opening order with their
+    positions in standard order, so the hook of block ``b`` is the number
+    of blocks opened up to its last position, minus ``b``.
+    """
+    if cls != "monotone":
+        _grow(t, cls, lambda blocks: leaf(blocks, 1))
+        return
+    rank = {p: r for r, p in enumerate(standard_order(t.alpha).perm)}
+
+    def weighed(blocks):
+        firsts = [rank[b[0]] for b in blocks]
+        hooks = 1
+        for i, b in enumerate(blocks):
+            hooks *= bisect_right(firsts, rank[b[-1]]) - i
+        leaf(blocks, math.factorial(len(blocks)) // hooks)
+
+    _grow(t, cls, weighed)
+
+
 def _check_request(t: TranslucentWord, cls: str) -> None:
     if cls not in CLASSES:
         raise ValueError(f"unknown bipartition class {cls!r}; choose from {CLASSES}")
-    _check_enum_cap(t)
-
-
-def _check_enum_cap(t: TranslucentWord) -> None:
     size = len(opaque_positions(t))
     cap = _enum_cap()
     if size > cap:
@@ -331,7 +339,7 @@ def _check_enum_cap(t: TranslucentWord) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _enumerate_cached(t: TranslucentWord, cls: str):
     out = []
     if cls == "monotone":
@@ -357,48 +365,39 @@ def enumerate_bipartitions(t: TranslucentWord, cls: str = "all") -> list:
 
 
 def count_bipartitions(t: TranslucentWord, cls: str = "all") -> int:
-    """``len(enumerate_bipartitions(t, cls))``, without listing anything.
-
-    Counts the leaves of the growth tree; the monotone class sums the
-    labelling counts of :func:`monotone_block_weights`.
-    """
-    if cls == "monotone":
-        return sum(count for _blocks, count, _weight in monotone_block_weights(t))
+    """``len(enumerate_bipartitions(t, cls))``, without listing anything."""
     _check_request(t, cls)
-    leaves = 0
+    total = 0
 
-    def leaf(_blocks):
-        nonlocal leaves
-        leaves += 1
+    def leaf(_blocks, count):
+        nonlocal total
+        total += count
 
-    _grow(t, cls, leaf)
-    return leaves
+    _walk(t, cls, leaf)
+    return total
 
 
-def monotone_block_weights(t: TranslucentWord) -> tuple[tuple[Blocks, int, Fraction], ...]:
-    """Noncrossing partitions with their monotone labelling count and weight.
+def class_terms(t: TranslucentWord, cls: str) -> tuple[tuple[Blocks, Fraction], ...]:
+    """``(blocks, weight)`` pairs of the bipartition class ``cls`` of ``t``.
 
-    Returns triples ``(blocks, count, count / len(blocks)!)``; summing
-    ``weight * product-over-blocks`` reproduces the labelled monotone sum
-    without enumerating labelings per summand.
+    Weight 1 per bipartition, except the monotone class, whose labelled
+    bipartitions come grouped by their blocks with total weight
+    ``count / |blocks|! = 1 / prod(hook)``.  Blocks are in canonical order.
     """
-    _check_enum_cap(t)
-    return _monotone_weights_cached(t)
+    _check_request(t, cls)
+    return _terms_cached(t, cls)
 
 
-@lru_cache(maxsize=None)
-def _monotone_weights_cached(t: TranslucentWord):
-    # The labellings are the linear extensions of the nesting forest, so by
-    # the hook-length formula weight = 1 / prod(1 + blocks nested inside).
+@lru_cache(maxsize=65536)
+def _terms_cached(t: TranslucentWord, cls: str):
     out = []
-    for pi in _enumerate_cached(t, "nc"):
-        spans = _block_spans(pi)
-        if spans is None:
-            continue
-        den = 1
-        for lo, hi in spans:
-            den *= 1 + sum(lo < lo_j < hi for lo_j, _hi in spans)
-        out.append((pi.blocks, math.factorial(len(spans)) // den, Fraction(1, den)))
+    one = Fraction(1)
+
+    def leaf(blocks, count):
+        weight = Fraction(count, math.factorial(len(blocks))) if cls == "monotone" else one
+        out.append((tuple(tuple(sorted(b)) for b in blocks), weight))
+
+    _walk(t, cls, leaf)
     return tuple(out)
 
 

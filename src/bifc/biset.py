@@ -109,7 +109,7 @@ class StdOrder:
         return tuple(sorted(self.perm[r:]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def standard_order(alpha: str) -> StdOrder:
     """Standard order of an {L, R}-word (cached per word)."""
     return StdOrder(alpha)

@@ -125,8 +125,9 @@ def _load_table(path: str, expect_family: bool):
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
-    if not isinstance(data, dict) or "variables" not in data or "moments" not in data:
-        raise UsageError(f"{path}: expected an object with 'variables' and 'moments'")
+    if not (isinstance(data, dict) and isinstance(data.get("variables"), dict)
+            and isinstance(data.get("moments"), dict)):
+        raise UsageError(f"{path}: expected an object with 'variables' and 'moments' objects")
     sides = data["variables"]
     left = {name for name, side in sides.items() if side == "L"}
     right = {name for name, side in sides.items() if side == "R"}

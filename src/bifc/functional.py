@@ -28,7 +28,7 @@ exponential with ``1/n!`` weights (labelled monotone bipartitions with
 ``1/|blocks|!``); for full-kind directions all three collapse to the sum
 over all bipartitions.  :func:`oracle_sum` computes those bipartition sums
 directly and independently, with :func:`block_sum` over the
-``(blocks, weight)`` terms of :func:`class_terms`.
+``(blocks, weight)`` terms of :func:`bifc.bipartition.class_terms`.
 
 All arithmetic is exact: values are :class:`fractions.Fraction`.
 """
@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .bipartition import enumerate_bipartitions, monotone_block_weights
+from .bipartition import class_terms
 from .biset import standard_order
 from .translucent import opaque_intervals
 from .words import (
@@ -425,22 +425,6 @@ def exp_full(k: Functional, max_len: int) -> Functional:
 
 # ---------------------------------------------------------------------------
 # bipartition-sum oracle
-
-def class_terms(t, cls: str):
-    """``(blocks, weight)`` pairs of the bipartition class ``cls`` of ``t``.
-
-    Weight 1 per bipartition, except the monotone class, whose labelled
-    bipartitions come grouped by their blocks with total weight
-    ``count / |blocks|!``.
-    """
-    if cls == "monotone":
-        for blocks, _count, weight in monotone_block_weights(t):
-            yield blocks, weight
-    else:
-        one = Q(1)
-        for pi in enumerate_bipartitions(t, cls):
-            yield pi.blocks, one
-
 
 def block_sum(terms, w: IncompleteWord, lookup, skip_one_block: bool = False) -> Fraction:
     """Sum of ``weight * prod(lookup(w | block))`` over ``(blocks, weight)`` terms.

@@ -237,7 +237,7 @@ def exchange(
     return r, s
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def opaque_intervals(t: TranslucentWord) -> tuple[tuple[int, ...], ...]:
     """Connected components of the opaque positions for the standard order.
 

@@ -278,7 +278,7 @@ class TestEnumerate:
     def test_monotone_labelings_against_filter(self):
         from itertools import permutations
 
-        for t in tr.all_words(4, min_len=1):
+        for t in tr.all_words(5, min_len=1):
             expected = []
             for pi in bp.enumerate_bipartitions(t, "nc"):
                 for perm in permutations(pi.blocks):
@@ -291,14 +291,28 @@ class TestEnumerate:
     def test_monotone_block_weights_collapse(self):
         for t in tr.all_words(5):
             labelled = bp.enumerate_bipartitions(t, "monotone")
-            weights = dict()
-            for blocks, count, weight in bp.monotone_block_weights(t):
-                weights[blocks] = (count, weight)
-                assert weight * math.factorial(len(blocks)) == count
+            counts = {}
+            for blocks, weight in bp.class_terms(t, "monotone"):
+                counts[blocks] = weight * math.factorial(len(blocks))
             by_base = {}
             for lp in labelled:
                 by_base[lp.base.blocks] = by_base.get(lp.base.blocks, 0) + 1
-            assert {b: c for b, (c, _w) in weights.items()} == by_base
+            assert counts == by_base
+
+    def test_monotone_count_and_terms_list_nothing(self, monkeypatch):
+        # the monotone count and terms are read off the growth walk alone
+        for fn in vars(bp).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+
+        def listing(*_args):
+            raise AssertionError("listed the bipartitions")
+
+        monkeypatch.setattr(bp, "_enumerate_cached", listing)
+        t = tw("LRRLLRL", "1101111")
+        assert bp.count_bipartitions(t, "monotone") == sum(
+            weight * math.factorial(len(blocks))
+            for blocks, weight in bp.class_terms(t, "monotone"))
 
     @pytest.mark.parametrize("cls", bp.CLASSES)
     def test_count_matches_enumeration(self, cls):
@@ -327,7 +341,6 @@ class TestEnumerate:
         for cls in bp.CLASSES:
             bp.count_bipartitions(t, cls)
             list(class_terms(t, cls))
-        bp.monotone_block_weights(t)
         monkeypatch.setenv(bp.MAX_ENUM_ENV, "2")
         for cls in bp.CLASSES:
             with pytest.raises(bp.EnumerationLimitError):
@@ -336,8 +349,6 @@ class TestEnumerate:
                 bp.count_bipartitions(t, cls)
             with pytest.raises(bp.EnumerationLimitError):
                 list(class_terms(t, cls))
-        with pytest.raises(bp.EnumerationLimitError):
-            bp.monotone_block_weights(t)
 
 
 class TestCompose:

@@ -186,6 +186,16 @@ class TestConvert:
                            "--from", "moments", "--to", "bifree")
         assert code == 2 and "rational" in err
 
+    def test_malformed_tables(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        for doc in ({"variables": ["a"], "moments": {}},
+                    {"variables": {"a": "L"}, "moments": [["a", "1"]]}):
+            bad.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "convert", "--input", str(bad),
+                                 "--from", "moments", "--to", "bifree")
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "objects" in err
+
     def test_missing_entries(self, tmp_path, capsys):
         src = tmp_path / "m.json"
         src.write_text(json.dumps({
