@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
+import time
 from fractions import Fraction
 
 from . import __version__
@@ -42,6 +44,10 @@ from .verify import SUITES, run_suite
 from .words import Alphabet, IncompleteWord, type_of
 
 MAX_LEN_CAP = 14
+# Block products one ``convert`` may evaluate (see ``_convert_work``).  A
+# 2+2-letter table at length 6, converted from one family to another, needs
+# about 1.2 M; integer tables run at about a million products a second.
+CONVERT_BUDGET = 2_000_000
 
 
 class UsageError(Exception):
@@ -163,6 +169,20 @@ def _dump_table(alphabet: Alphabet, table, family: str | None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _convert_work(letters: int, families, max_len: int) -> int:
+    """Upper bound on the block products of a conversion up to ``max_len``.
+
+    Each word is one block sum per family passed through, with Catalan(n)
+    terms at length ``n`` for ``bifree`` and ``bimonotone`` and 2^(n-1) for
+    ``biboolean``.
+    """
+    def terms(family: str, n: int) -> int:
+        return 2 ** (n - 1) if family == "biboolean" else math.comb(2 * n, n) // (n + 1)
+
+    return sum(letters ** n * terms(family, n)
+               for family in families for n in range(1, max_len + 1))
+
+
 def cmd_convert(args) -> int:
     kinds = ("moments",) + FAMILIES
     if args.source not in kinds or args.target not in kinds:
@@ -170,6 +190,14 @@ def cmd_convert(args) -> int:
     if args.source == args.target:
         raise UsageError("--from and --to coincide; nothing to convert")
     alphabet, table, family = _load_table(args.input, expect_family=args.source != "moments")
+    letters = len(alphabet.letters())
+    work = _convert_work(letters, [k for k in (args.source, args.target) if k != "moments"],
+                         args.max_len)
+    if work > CONVERT_BUDGET:
+        raise UsageError(
+            f"--max-len {args.max_len} over {letters} letters needs about {work:,} "
+            f"block products, over the budget of {CONVERT_BUDGET:,}; lower --max-len"
+        )
     try:
         if args.source == "moments":
             moments = MomentData(alphabet, table)
@@ -200,8 +228,14 @@ def cmd_verify(args) -> int:
     names = [args.suite] if args.suite else sorted(SUITES)
     failed = False
     for name in names:
+        start = time.perf_counter()
         result = run_suite(name, max_len=args.max_len, seed=args.seed)
-        print(result)
+        if args.json:
+            print(json.dumps({"name": result.name, "ok": result.ok, "checks": result.checked,
+                              "elapsed_s": round(time.perf_counter() - start, 6),
+                              "counterexample": result.counterexample}))
+        else:
+            print(result)
         failed = failed or not result.ok
     return 1 if failed else 0
 
@@ -234,6 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=sorted(SUITES))
     ver.add_argument("--max-len", type=int)
     ver.add_argument("--seed", type=int)
+    ver.add_argument("--json", action="store_true",
+                     help="print one JSON object per suite instead of text")
     ver.set_defaults(func=cmd_verify)
     return parser
 

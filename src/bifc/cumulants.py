@@ -23,7 +23,6 @@ from .functional import (
     Functional,
     LIE_INTERVAL,
     block_sum,
-    class_terms,
     exp_prec,
     exp_star,
     exp_succ,
@@ -84,7 +83,7 @@ class CumulantData:
 def cumulants_to_moments(c: CumulantData, max_len: int) -> MomentData:
     """Weighted bipartition sums of cumulant products, up to ``max_len``."""
     cls = _FAMILY_CLASS[c.family]
-    values = {w: block_sum(class_terms(fully_opaque(w.sides), cls), w, c.cumulant)
+    values = {w: block_sum(fully_opaque(w.sides), cls, w, c.cumulant)
               for w in c.alphabet.complete_words(max_len, min_len=1)}
     return MomentData(c.alphabet, values)
 
@@ -100,8 +99,8 @@ def moments_to_cumulants(m: MomentData, family: str, max_len: int) -> CumulantDa
     cls = _FAMILY_CLASS[family]
     for n in range(1, max_len + 1):
         for w in m.alphabet.complete_words(n, min_len=n):
-            terms = class_terms(fully_opaque(w.sides), cls)
-            rest = block_sum(terms, w, out.cumulant, skip_one_block=True)
+            rest = block_sum(fully_opaque(w.sides), cls, w, out.cumulant,
+                             skip_one_block=True)
             out.values[w] = m.moment(w) - rest
     return out
 

@@ -27,8 +27,11 @@ Duality with the coproducts of :mod:`bifc.words` gives the convolution
 exponential with ``1/n!`` weights (labelled monotone bipartitions with
 ``1/|blocks|!``); for full-kind directions all three collapse to the sum
 over all bipartitions.  :func:`oracle_sum` computes those bipartition sums
-directly and independently, with :func:`block_sum` over the
-``(blocks, weight)`` terms of :func:`bifc.bipartition.class_terms`.
+directly and independently, with ``block_sum(t, cls, w, lookup)`` over the
+``(blocks, weight)`` terms of :func:`bifc.bipartition.class_terms`.  Those
+terms are compiled once per type and class into a plan of distinct blocks
+and integer weights over a common denominator, so a block sum runs in
+Python ints and builds one :class:`~fractions.Fraction`.
 
 All arithmetic is exact: values are :class:`fractions.Fraction`.
 """
@@ -38,11 +41,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Mapping
 
 from .bipartition import class_terms
 from .biset import standard_order
-from .translucent import opaque_intervals
+from .translucent import TranslucentWord, opaque_intervals
 from .words import (
     Alphabet,
     IncompleteWord,
@@ -426,29 +430,78 @@ def exp_full(k: Functional, max_len: int) -> Functional:
 # ---------------------------------------------------------------------------
 # bipartition-sum oracle
 
-def block_sum(terms, w: IncompleteWord, lookup, skip_one_block: bool = False) -> Fraction:
-    """Sum of ``weight * prod(lookup(w | block))`` over ``(blocks, weight)`` terms.
+def block_sum(t: TranslucentWord, cls: str, w: IncompleteWord, lookup,
+              skip_one_block: bool = False) -> Fraction:
+    """Sum of ``weight * prod(lookup(w | block))`` over ``class_terms(t, cls)``.
 
-    Each block's value is looked up once per call; a product stops at its
-    first zero factor.  ``skip_one_block`` leaves out the one-block terms.
+    ``w`` is a word of type ``t``.  The terms are compiled once per
+    ``(t, cls, skip_one_block)`` by :func:`_block_sum_plan`; each call adds
+    them up in Python ints and builds one :class:`~fractions.Fraction` at
+    the end.  Each block's value is looked up once per call and only when a
+    term reaches it; a product stops at its first zero factor.
+    ``skip_one_block`` leaves out the one-block terms.
     """
-    values: dict[tuple[int, ...], Fraction] = {}
-    total = Q(0)
-    for blocks, weight in terms:
-        if skip_one_block and len(blocks) == 1:
-            continue
-        num, den = weight.numerator, weight.denominator
-        for block in blocks:
-            v = values.get(block)
+    class_terms(t, cls)  # reads the enumeration cap on every call
+    scale, blocks, terms = _block_sum_plan(t, cls, skip_one_block)
+    letters = w.letters
+    values: list = [None] * len(blocks)
+    nums = []
+    dens = []
+    for num, indices in terms:
+        den = 1
+        for i in indices:
+            v = values[i]
             if v is None:
-                v = values[block] = lookup(_restrict_sorted(w, block))
-            num *= v.numerator
+                pick, sides = blocks[i]
+                q = lookup(IncompleteWord(pick(letters), sides))
+                v = values[i] = (q.numerator, q.denominator)
+            num *= v[0]
             if not num:
                 break
-            den *= v.denominator
+            den *= v[1]
         if num:
-            total += Q(num, den)
-    return total
+            nums.append(num)
+            dens.append(den)
+    common = math.lcm(*dens)
+    if common > 1:
+        nums = [n * (common // d) for n, d in zip(nums, dens)]
+    return Q(sum(nums), common * scale)
+
+
+@lru_cache(maxsize=65536)
+def _block_sum_plan(t: TranslucentWord, cls: str, skip_one_block: bool):
+    """``(scale, blocks, terms)`` for :func:`block_sum` on type ``t``.
+
+    ``blocks`` holds each distinct block once as ``(pick, sides)``: ``pick``
+    takes the block's letters from a word's letter tuple and ``sides`` is
+    their side string, which depends only on ``t``.  ``terms`` holds
+    ``(numerator, block indices)`` pairs whose weights are the numerators
+    over the common denominator ``scale``.
+    """
+    kept = [(bl, weight) for bl, weight in class_terms(t, cls)
+            if not (skip_one_block and len(bl) == 1)]
+    scale = math.lcm(*(weight.denominator for _bl, weight in kept))
+    index: dict[tuple[int, ...], int] = {}
+    blocks = []
+    terms = []
+    for bl, weight in kept:
+        indices = []
+        for block in bl:
+            i = index.get(block)
+            if i is None:
+                i = index[block] = len(blocks)
+                blocks.append((_picker(block), "".join(t.alpha[p - 1] for p in block)))
+            indices.append(i)
+        terms.append((weight.numerator * (scale // weight.denominator), tuple(indices)))
+    return scale, tuple(blocks), tuple(terms)
+
+
+def _picker(block: tuple[int, ...]):
+    """Function taking the letters at the 1-based ``block`` from a tuple."""
+    if len(block) == 1:
+        i = block[0] - 1
+        return lambda letters: (letters[i],)
+    return itemgetter(*(p - 1 for p in block))
 
 
 def oracle_sum(k, w: IncompleteWord, cls: str) -> Fraction:
@@ -458,4 +511,4 @@ def oracle_sum(k, w: IncompleteWord, cls: str) -> Fraction:
     labelled bipartition by ``1 / |blocks|!``.  This is the independent
     check for every exponential.
     """
-    return block_sum(class_terms(type_of(w), cls), w, k.eval)
+    return block_sum(type_of(w), cls, w, k.eval)

@@ -223,6 +223,20 @@ class TestConvert:
                            "--max-len", "15")
         assert code == 2 and "capped" in err
 
+    def test_oversized_convert_refused_up_front(self, capsys):
+        src = DATA / "moments_2x2.json"
+        for argv in (("--from", "moments", "--to", "bifree", "--max-len", "14"),
+                     ("--from", "moments", "--to", "biboolean", "--max-len", "9")):
+            code, out, err = run(capsys, "convert", "--input", str(src), *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "budget" in err
+        # the 2+2-letter sizes in use stay under the budget: roundtrips at
+        # length 6, the goldens at 4 and the benchmark tables at 5
+        for family in FAMILIES:
+            for max_len, families in ((6, (family, "bimonotone")), (5, (family,))):
+                assert cli._convert_work(4, families, max_len) <= cli.CONVERT_BUDGET
+        assert cli._convert_work(4, ("bifree",), 7) > cli.CONVERT_BUDGET
+
     def test_negative_max_len(self, tmp_path, capsys):
         src = tmp_path / "m.json"
         self.write_moments(src)
@@ -287,6 +301,27 @@ class TestGolden:
 
 
 class TestVerify:
+    def test_json_lines(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "prelie", "--max-len", "3",
+                           "--json")
+        assert code == 0
+        [record] = [json.loads(line) for line in out.splitlines()]
+        assert set(record) == {"name", "ok", "checks", "elapsed_s", "counterexample"}
+        assert record["name"] == "prelie" and record["ok"] is True
+        assert record["checks"] > 0 and record["counterexample"] is None
+        assert record["elapsed_s"] >= 0
+
+    def test_json_matches_text(self, capsys):
+        args = ("verify", "--max-len", "2", "--seed", "3")
+        code, text, _ = run(capsys, *args)
+        assert code == 0
+        code, out, _ = run(capsys, *args, "--json")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) >= 2
+        assert [f"{r['name']}: pass ({r['checks']} checks)" for r in records] == \
+            text.splitlines()
+
     def test_single_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "prelie",
                            "--max-len", "3")

@@ -91,6 +91,21 @@ class TestRoundtrip:
         for w in AB.complete_words(3, 1):
             assert m.moment(w) == 0
 
+    def test_sparse_pair_table(self):
+        # only the pair cumulants are nonzero, so most block products stop
+        # at a zero single-letter factor; the moments count the pairings of
+        # each family: Catalan numbers, one interval pairing, and the
+        # arcsine moments binom(2k, k) / 2**k of the monotone family
+        want = {"bifree": [1, 2, 5], "biboolean": [1, 1, 1],
+                "bimonotone": [1, Q(3, 2), Q(5, 2)]}
+        for family in cm.FAMILIES:
+            c = cm.CumulantData(family, AB, {
+                w: Q(int(len(w) == 2)) for w in AB.complete_words(6, 1)})
+            m = cm.cumulants_to_moments(c, 6)
+            for w in AB.complete_words(6, 1):
+                n = len(w)
+                assert m.moment(w) == (want[family][n // 2 - 1] if n % 2 == 0 else 0)
+
     def test_multilinearity_scaling(self):
         # scaling the moments by lambda**(occurrences of one letter) scales
         # every cumulant the same way

@@ -284,3 +284,97 @@ class TestOracle:
 
     def test_oracle_on_placeholder_only(self, k_interval):
         assert fn.oracle_sum(k_interval, AB.word("L R"), "all") == 1
+
+
+def reference_block_sum(terms, w, lookup, skip_one_block=False):
+    """The block-sum loop over ``(blocks, weight)`` terms in plain Fractions."""
+    values = {}
+    total = Q(0)
+    for blocks, weight in terms:
+        if skip_one_block and len(blocks) == 1:
+            continue
+        num, den = weight.numerator, weight.denominator
+        for block in blocks:
+            v = values.get(block)
+            if v is None:
+                v = values[block] = lookup(wd.restrict_word(w, block))
+            num *= v.numerator
+            if not num:
+                break
+            den *= v.denominator
+        if num:
+            total += Q(num, den)
+    return total
+
+
+def word_of_type(t, rng):
+    """A word over ``TWO`` of type ``t`` with seeded variable letters."""
+    letters = [
+        rng.choice(sorted(TWO.left if side == "L" else TWO.right)) if bit == "1" else side
+        for side, bit in zip(t.alpha, t.mask)
+    ]
+    return TWO.word(letters)
+
+
+class TestBlockSum:
+    # 0, signs and denominators 2, 3, 5, 7, so the common denominator of a
+    # call is rarely 1
+    VALUES = [Q(0), Q(1), Q(-1), Q(3), Q(1, 2), Q(-2, 3), Q(3, 5), Q(-5, 7), Q(7, 2), Q(-4, 5)]
+
+    def table(self, seed):
+        rng = random.Random(seed)
+        return {w: rng.choice(self.VALUES) for w in TWO.complete_words(5, 1)}
+
+    def test_matches_fraction_loop_on_every_type(self):
+        from bifc.bipartition import CLASSES
+
+        rng = random.Random(11)
+        for seed in (1, 2):
+            lookup = self.table(seed).__getitem__
+            for t in tr.all_words(5):
+                w = word_of_type(t, rng)
+                for cls in CLASSES:
+                    terms = fn.class_terms(t, cls)
+                    for skip in (False, True):
+                        assert fn.block_sum(t, cls, w, lookup, skip) == \
+                            reference_block_sum(terms, w, lookup, skip), (t, cls, skip)
+
+    def test_reaches_blocks_lazily_and_once(self):
+        from bifc.bipartition import CLASSES
+
+        t = tr.fully_opaque("LLRR")
+        w = TWO.word("aL bL aR bR")
+        table = self.table(3)
+        table[TWO.word("aL")] = Q(0)
+        # in the interval class, block {2} only comes after block {1}, whose
+        # value is 0, so ``bL`` must never be looked up
+        assert all(bl[0] == (1,) for bl, _w in fn.class_terms(t, "interval") if (2,) in bl)
+
+        def lookup(u):
+            if u == TWO.word("bL"):
+                raise AssertionError("looked up a block past a zero factor")
+            return table[u]
+
+        assert fn.block_sum(t, "interval", w, lookup) == reference_block_sum(
+            fn.class_terms(t, "interval"), w, table.__getitem__)
+        # the letters of w are distinct, so each block has its own word
+        for cls in CLASSES:
+            calls = []
+
+            def counting(u):
+                calls.append(u)
+                return table[u]
+
+            fn.block_sum(t, cls, w, counting)
+            assert len(calls) == len(set(calls)), cls
+
+    def test_cap_read_on_every_call(self, monkeypatch):
+        from bifc import bipartition as bp
+
+        t = tr.fully_opaque("LRL")
+        w = TWO.word("aL aR bL")
+        lookup = self.table(4).__getitem__
+        fn.block_sum(t, "nc", w, lookup)
+        monkeypatch.setenv(bp.MAX_ENUM_ENV, "2")
+        with pytest.raises(bp.EnumerationLimitError):
+            fn.block_sum(t, "nc", w, lookup)
