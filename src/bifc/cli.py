@@ -46,8 +46,18 @@ from .words import Alphabet, IncompleteWord, type_of
 MAX_LEN_CAP = 14
 # Block products one ``convert`` may evaluate (see ``_convert_work``).  A
 # 2+2-letter table at length 6, converted from one family to another, needs
-# about 1.2 M; integer tables run at about a million products a second.
+# about 1.4 M; integer tables run at about a million products a second.
 CONVERT_BUDGET = 2_000_000
+# Building one term of a class, once per side pattern, costs about as much
+# as this many block products: one letter at length 12 has 0.29 M products
+# and 0.29 M terms to build, and takes 3.2 s and 230 MB.
+TERM_BUILD_COST = 10
+# Largest --max-len each ``verify`` suite admits.  One length more takes
+# 30 s or longer on a 2-core host with Python 3.11: codendriform,
+# dendriform and exponentials over 100 s, exchange 69 s (483 MB), prelie
+# 60 s (802 MB), roundtrip 31 s, single_faced 77 s.
+VERIFY_MAX_LEN = {"codendriform": 6, "dendriform": 7, "exchange": 6, "exponentials": 6,
+                  "prelie": 7, "roundtrip": 6, "single_faced": 8}
 
 
 class UsageError(Exception):
@@ -169,17 +179,18 @@ def _dump_table(alphabet: Alphabet, table, family: str | None) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _convert_work(letters: int, families, max_len: int) -> int:
-    """Upper bound on the block products of a conversion up to ``max_len``.
+def _convert_work(letters: int, sides: int, families, max_len: int) -> int:
+    """Upper bound on the work of a conversion up to ``max_len``, in block products.
 
     Each word is one block sum per family passed through, with Catalan(n)
     terms at length ``n`` for ``bifree`` and ``bimonotone`` and 2^(n-1) for
-    ``biboolean``.
+    ``biboolean``.  The terms are built once per side pattern, and ``sides``
+    (1 or 2) sides carry letters, so there are ``sides**n`` patterns.
     """
     def terms(family: str, n: int) -> int:
         return 2 ** (n - 1) if family == "biboolean" else math.comb(2 * n, n) // (n + 1)
 
-    return sum(letters ** n * terms(family, n)
+    return sum((letters ** n + TERM_BUILD_COST * sides ** n) * terms(family, n)
                for family in families for n in range(1, max_len + 1))
 
 
@@ -191,7 +202,8 @@ def cmd_convert(args) -> int:
         raise UsageError("--from and --to coincide; nothing to convert")
     alphabet, table, family = _load_table(args.input, expect_family=args.source != "moments")
     letters = len(alphabet.letters())
-    work = _convert_work(letters, [k for k in (args.source, args.target) if k != "moments"],
+    work = _convert_work(letters, bool(alphabet.left) + bool(alphabet.right),
+                         [k for k in (args.source, args.target) if k != "moments"],
                          args.max_len)
     if work > CONVERT_BUDGET:
         raise UsageError(
@@ -226,6 +238,13 @@ def cmd_convert(args) -> int:
 
 def cmd_verify(args) -> int:
     names = [args.suite] if args.suite else sorted(SUITES)
+    if args.max_len is not None:
+        for name in names:
+            if args.max_len > VERIFY_MAX_LEN[name]:
+                raise UsageError(
+                    f"--max-len {args.max_len} is too long for the {name} suite, "
+                    f"which admits at most {VERIFY_MAX_LEN[name]}"
+                )
     failed = False
     for name in names:
         start = time.perf_counter()

@@ -21,7 +21,10 @@ a pointwise rule per word; the products return one, and a table-backed
 
 Duality with the coproducts of :mod:`bifc.words` gives the convolution
 ``star`` and the half-products ``prec`` and ``succ``; the preLie product is
-``prec`` minus the flipped ``succ``.  Three exponentials solve
+``prec`` minus the flipped ``succ``.  Their cut sums, and the star powers
+behind ``exp_star`` and ``log_star``, read the cuts from the per-type plan
+of :func:`bifc.words._cut_plan`, add their terms up in Python ints and build
+one :class:`~fractions.Fraction` per value.  Three exponentials solve
 ``M = counit + k prec M`` (sums over shaded noncrossing bipartitions),
 ``M = counit + M succ b`` (interval bipartitions) and the convolution
 exponential with ``1/n!`` weights (labelled monotone bipartitions with
@@ -41,7 +44,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 from typing import Mapping
 
 from .bipartition import class_terms
@@ -50,9 +52,10 @@ from .translucent import TranslucentWord, opaque_intervals
 from .words import (
     Alphabet,
     IncompleteWord,
-    _cut_sets,
+    _cut_plan,
+    _picker,
     _restrict_sorted,
-    _translucidate_set,
+    admissible_cuts,
     is_complete,
     is_placeholder_only,
     opaque_positions_w,
@@ -178,13 +181,35 @@ class Functional(Lazy):
 
 def _cut_sum(f, g, w: IncompleteWord, keep_min: bool | None) -> Fraction:
     """``f`` on the restriction times ``g`` on the translucidation, summed
-    over the cuts of ``w`` selected by ``keep_min`` (see ``_cut_sets``)."""
-    total = Q(0)
-    for kept in _cut_sets(w, keep_min):
-        left = f.eval(_restrict_sorted(w, kept))
+    over the cuts of ``w`` selected by ``keep_min`` (see :func:`_cut_plan`).
+
+    ``g`` is evaluated only where ``f`` is nonzero; the terms are added up
+    in Python ints by :func:`_fraction_sum`.
+    """
+    letters, sides = w.letters, w.sides
+    both = letters + tuple(sides)
+    nums = []
+    dens = []
+    for restrict, kept_sides, translucidate in _cut_plan(type_of(w), keep_min):
+        left = f.eval(IncompleteWord(restrict(letters), kept_sides))
         if left:
-            total += left * g.eval(_translucidate_set(w, kept))
-    return total
+            right = g.eval(IncompleteWord(translucidate(both), sides))
+            if right:
+                nums.append(left.numerator * right.numerator)
+                dens.append(left.denominator * right.denominator)
+    return _fraction_sum(nums, dens)
+
+
+def _fraction_sum(nums: list[int], dens: list[int], scale: int = 1) -> Fraction:
+    """``sum(n / d for n, d in zip(nums, dens)) / scale`` as one Fraction.
+
+    The terms are brought to the lcm of their denominators in Python ints,
+    so only the result is normalized.
+    """
+    common = math.lcm(*dens)
+    if common > 1:
+        nums = [n * (common // d) for n, d in zip(nums, dens)]
+    return Q(sum(nums), common * scale)
 
 
 def star_eval(f, g, w: IncompleteWord) -> Fraction:
@@ -327,12 +352,17 @@ def exp_succ(b: Functional, max_len: int) -> Functional:
             return memo[w]
         except KeyError:
             pass
-        total = Q(0)
-        for kept in _cut_sets(w, False):
-            coeff = b.eval(_translucidate_set(w, kept))
+        letters, sides = w.letters, w.sides
+        both = letters + tuple(sides)
+        nums = []
+        dens = []
+        for restrict, kept_sides, translucidate in _cut_plan(type_of(w), False):
+            coeff = b.eval(IncompleteWord(translucidate(both), sides))
             if coeff:
-                total += value(_restrict_sorted(w, kept)) * coeff
-        memo[w] = total
+                v = value(IncompleteWord(restrict(letters), kept_sides))
+                nums.append(v.numerator * coeff.numerator)
+                dens.append(v.denominator * coeff.denominator)
+        total = memo[w] = _fraction_sum(nums, dens)
         return total
 
     table = {v: value(v) for v in b.alphabet.complete_words(max_len, min_len=1)}
@@ -358,7 +388,6 @@ def _star_power_values(f, top: IncompleteWord, memo, cuts_cache,
             return memo[key]
         except KeyError:
             pass
-        total = Q(0)
         pairs = cuts_cache.get(u)
         if pairs is None:
             if interval_kind:
@@ -367,16 +396,17 @@ def _star_power_values(f, top: IncompleteWord, memo, cuts_cache,
                     for kept, comp in _interval_cuts(u.sides)
                 )
             else:
-                pairs = tuple(
-                    (_restrict_sorted(u, kept), _translucidate_set(u, kept))
-                    for kept in _cut_sets(u, None)
-                )
+                pairs = tuple(admissible_cuts(u))
             cuts_cache[u] = pairs
+        nums = []
+        dens = []
         for left, right in pairs:
             coeff = f.eval(right)
             if coeff:
-                total += power(n - 1, left) * coeff
-        memo[key] = total
+                p = power(n - 1, left)
+                nums.append(p.numerator * coeff.numerator)
+                dens.append(p.denominator * coeff.denominator)
+        total = memo[key] = _fraction_sum(nums, dens)
         return total
 
     return [power(n, top) for n in range(1, len(top) + 1)]
@@ -462,10 +492,7 @@ def block_sum(t: TranslucentWord, cls: str, w: IncompleteWord, lookup,
         if num:
             nums.append(num)
             dens.append(den)
-    common = math.lcm(*dens)
-    if common > 1:
-        nums = [n * (common // d) for n, d in zip(nums, dens)]
-    return Q(sum(nums), common * scale)
+    return _fraction_sum(nums, dens, scale)
 
 
 @lru_cache(maxsize=65536)
@@ -490,18 +517,11 @@ def _block_sum_plan(t: TranslucentWord, cls: str, skip_one_block: bool):
             i = index.get(block)
             if i is None:
                 i = index[block] = len(blocks)
-                blocks.append((_picker(block), "".join(t.alpha[p - 1] for p in block)))
+                blocks.append((_picker(tuple(p - 1 for p in block)),
+                               "".join(t.alpha[p - 1] for p in block)))
             indices.append(i)
         terms.append((weight.numerator * (scale // weight.denominator), tuple(indices)))
     return scale, tuple(blocks), tuple(terms)
-
-
-def _picker(block: tuple[int, ...]):
-    """Function taking the letters at the 1-based ``block`` from a tuple."""
-    if len(block) == 1:
-        i = block[0] - 1
-        return lambda letters: (letters[i],)
-    return itemgetter(*(p - 1 for p in block))
 
 
 def oracle_sum(k, w: IncompleteWord, cls: str) -> Fraction:

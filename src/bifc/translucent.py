@@ -203,6 +203,7 @@ def is_right_factor(s: TranslucentWord, t: TranslucentWord) -> bool:
     return all(b == "0" or c == "1" for b, c in zip(s.mask, t.mask))
 
 
+@lru_cache(maxsize=65536)
 def exchange(
     s_minus: TranslucentWord,
     s_plus: TranslucentWord,
@@ -216,6 +217,10 @@ def exchange(
     ``s`` restricts to ``s_minus`` before ``i``, to ``s_plus`` after ``i``
     and keeps ``t``'s entry at ``i``; ``r`` is ``t`` restricted to the
     translucent positions of ``s``.
+
+    Results are kept in a bounded cache, so the validation and the
+    recomposition check run once per distinct argument tuple; an invalid
+    argument raises on every call, since exceptions are not cached.
     """
     if t.mask[i - 1] != "0":
         raise ValueError(f"exchange position {i} is not translucent in {t}")

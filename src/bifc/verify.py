@@ -27,6 +27,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from . import cumulants as cm
@@ -172,8 +173,9 @@ def suite_dendriform(max_len: int = 4, seed: int = 42) -> SuiteResult:
 # ---------------------------------------------------------------------------
 # exchange
 
-def _right_factors(t: tr.TranslucentWord):
-    return [s for _r, s in tr.factorizations(t)]
+@lru_cache(maxsize=65536)
+def _right_factors(t: tr.TranslucentWord) -> tuple[tr.TranslucentWord, ...]:
+    return tuple(s for _r, s in tr.factorizations(t))
 
 
 def _exchange_assoc_first(t: tr.TranslucentWord, checked: int):

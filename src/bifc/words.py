@@ -6,7 +6,9 @@ translucent word recording side and opacity per position.  Words compose
 like translucent words do: the left word overwrites the placeholders of the
 right one.  Dually, the decomposition coproduct of a word sums its
 *admissible cuts* ``(restriction, translucidation)`` over all position sets
-sandwiched between the translucent positions and everything.
+sandwiched between the translucent positions and everything.  Those sets
+depend on the type alone, so :func:`_cut_plan` compiles them once per type
+into letter pickers that every word of the type reuses.
 
 The reduced coproduct splits in two according to whether the cut keeps the
 lessdot-first opaque letter in the left factor (``coproduct_left``) or in
@@ -25,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .biset import LEFT, RIGHT, standard_order
@@ -243,12 +246,37 @@ def min_opaque(w: IncompleteWord) -> int:
     return standard_order(w.sides).min_of(opq)
 
 
-def _cut_sets(w: IncompleteWord, keep_min: bool | None = None):
-    """Sorted kept position sets of the admissible cuts of ``w``.
+def _picker(indices: tuple[int, ...]):
+    """Function taking the items at the 0-based ``indices`` as a tuple."""
+    if not indices:
+        return lambda seq: ()
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
-    These depend on the type only: see :func:`bifc.translucent.cut_sets`.
+
+@lru_cache(maxsize=65536)
+def _cut_plan(t: TranslucentWord, keep_min: bool | None = None):
+    """The admissible cuts of the words of type ``t``, compiled once.
+
+    One ``(restrict, sides, translucidate)`` triple per set of
+    :func:`bifc.translucent.cut_sets` ``(t, keep_min)``, in its order.
+    ``restrict`` takes the kept letters from a word's letter tuple and
+    ``sides`` is their side string.  ``translucidate`` takes the
+    translucidation's letters from ``letters + tuple(sides)`` of the word:
+    the placeholder at kept positions, the letter elsewhere.
     """
-    return cut_sets(type_of(w), keep_min)
+    n = len(t.alpha)
+    plan = []
+    for kept in cut_sets(t, keep_min):
+        members = set(kept)
+        plan.append((
+            _picker(tuple(p - 1 for p in kept)),
+            "".join(t.alpha[p - 1] for p in kept),
+            _picker(tuple(n + p - 1 if p in members else p - 1 for p in range(1, n + 1))),
+        ))
+    return tuple(plan)
 
 
 def admissible_cuts(
@@ -258,10 +286,14 @@ def admissible_cuts(
 
     ``2**(number of variables)`` of them with ``keep_min=None``; half as
     many when ``keep_min`` keeps (``True``) or drops (``False``) the
-    lessdot-first opaque position.  The trivial cuts are included.
+    lessdot-first opaque position.  The trivial cuts are included.  The
+    kept sets depend on the type only; see :func:`_cut_plan`.
     """
-    for kept in _cut_sets(w, keep_min):
-        yield _restrict_sorted(w, kept), _translucidate_set(w, kept)
+    letters, sides = w.letters, w.sides
+    both = letters + tuple(sides)
+    for restrict, kept_sides, translucidate in _cut_plan(type_of(w), keep_min):
+        yield (IncompleteWord(restrict(letters), kept_sides),
+               IncompleteWord(translucidate(both), sides))
 
 
 def coproduct(w: IncompleteWord) -> WordSum:

@@ -82,7 +82,7 @@ def test_criterion_01_golden_examples():
     w4 = AB.word("aR aL aR aL")
     # the recursion produces one term per kept set containing the
     # standard-order first opaque letter: eight of them
-    kept_sets = list(fn._cut_sets(w4, True))
+    kept_sets = list(tr.cut_sets(wd.type_of(w4), True))
     assert len(kept_sets) == 8
     restrictions = sorted(wd.restrict_word(w4, s).text for s in kept_sets)
     assert restrictions == sorted([

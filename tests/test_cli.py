@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from bifc import cli
+from bifc import verify as vf
 from bifc.bipartition import CLASSES, make_bipartition, make_labeled
 from bifc.cumulants import FAMILIES
 from bifc.diagrams import render_svg
@@ -234,8 +235,22 @@ class TestConvert:
         # length 6, the goldens at 4 and the benchmark tables at 5
         for family in FAMILIES:
             for max_len, families in ((6, (family, "bimonotone")), (5, (family,))):
-                assert cli._convert_work(4, families, max_len) <= cli.CONVERT_BUDGET
-        assert cli._convert_work(4, ("bifree",), 7) > cli.CONVERT_BUDGET
+                assert cli._convert_work(4, 2, families, max_len) <= cli.CONVERT_BUDGET
+        assert cli._convert_work(4, 2, ("bifree",), 7) > cli.CONVERT_BUDGET
+
+    def test_term_building_counted(self, tmp_path, capsys):
+        # one letter has few products but one side pattern per length whose
+        # Catalan(n) terms must be built: length 13 is refused before any work
+        src = tmp_path / "one.json"
+        src.write_text(json.dumps({"variables": {"aL": "L"},
+                                   "moments": {" ".join(["aL"] * n): "1" for n in range(14)}}))
+        code, out, err = run(capsys, "convert", "--input", str(src),
+                             "--from", "moments", "--to", "bifree", "--max-len", "13")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "budget" in err
+        code, out, _ = run(capsys, "convert", "--input", str(src),
+                           "--from", "moments", "--to", "bifree", "--max-len", "8")
+        assert code == 0 and json.loads(out)["family"] == "bifree"
 
     def test_negative_max_len(self, tmp_path, capsys):
         src = tmp_path / "m.json"
@@ -321,6 +336,18 @@ class TestVerify:
         assert len(records) >= 2
         assert [f"{r['name']}: pass ({r['checks']} checks)" for r in records] == \
             text.splitlines()
+
+    def test_oversized_verify_refused_up_front(self, capsys):
+        for argv in (("--suite", "exchange", "--max-len", "9"), ("--max-len", "7")):
+            code, out, err = run(capsys, "verify", *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "admits at most" in err
+        # the acceptance sizes and the benchmark's length-4 calls stay admitted
+        sizes = {"exponentials": 6, "codendriform": 5, "dendriform": 5, "exchange": 6,
+                 "roundtrip": 6, "single_faced": 7, "prelie": 5}
+        assert set(cli.VERIFY_MAX_LEN) == set(vf.SUITES)
+        for name, max_len in sizes.items():
+            assert 4 <= max_len <= cli.VERIFY_MAX_LEN[name]
 
     def test_single_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "prelie",

@@ -198,7 +198,7 @@ class TestExponentials:
         # the recursion expands into 8 terms, one per kept set, the last
         # being the table value of the whole word
         total = Q(0)
-        kept_sets = list(fn._cut_sets(w4, True))
+        kept_sets = list(tr.cut_sets(wd.type_of(w4), True))
         assert len(kept_sets) == 8
         for kept in kept_sets:
             total += (k.eval(wd.restrict_word(w4, kept))
@@ -378,3 +378,70 @@ class TestBlockSum:
         monkeypatch.setenv(bp.MAX_ENUM_ENV, "2")
         with pytest.raises(bp.EnumerationLimitError):
             fn.block_sum(t, "nc", w, lookup)
+
+
+def reference_cut_sum(f, g, w, keep_min):
+    """The cut sum in plain Fractions, one restriction and translucidation per set."""
+    total = Q(0)
+    for kept in tr.cut_sets(wd.type_of(w), keep_min):
+        left = f.eval(wd.restrict_word(w, kept))
+        if left:
+            total += left * g.eval(wd.translucidate_word(w, kept))
+    return total
+
+
+def reference_star_powers(f, top, interval_kind):
+    """``f**(star n)(top)`` for ``n = 1..len(top)``, term by term in Fractions."""
+    memo = {}
+
+    def power(n, u):
+        if n == 1:
+            return f.eval(u)
+        if n > len(u):
+            return Q(0)
+        if (n, u) not in memo:
+            if interval_kind:
+                pairs = [(wd.restrict_word(u, kept), wd.restrict_word(u, comp))
+                         for kept, comp in fn._interval_cuts(u.sides)]
+            else:
+                pairs = [(wd.restrict_word(u, kept), wd.translucidate_word(u, kept))
+                         for kept in tr.cut_sets(wd.type_of(u), None)]
+            total = Q(0)
+            for left, right in pairs:
+                coeff = f.eval(right)
+                if coeff:
+                    total += power(n - 1, left) * coeff
+            memo[n, u] = total
+        return memo[n, u]
+
+    return [power(n, top) for n in range(1, len(top) + 1)]
+
+
+class TestCutSums:
+    def functional(self, seed, kind=fn.GENERIC, unit_value=None):
+        rng = random.Random(seed)
+        words = (AB.words(5, 1) if kind == fn.GENERIC else AB.complete_words(5, 1))
+        table = {w: rng.choice(TestBlockSum.VALUES) for w in words
+                 if not wd.is_placeholder_only(w)}
+        return fn.Functional(kind, AB, table, unit_value=unit_value)
+
+    def test_cut_sum_matches_fraction_loop(self):
+        for seed in (1, 2):
+            f = self.functional(seed, unit_value=Q(-2, 3))
+            g = self.functional(seed + 10, unit_value=Q(5, 7))
+            for w in AB.words(5):
+                for keep_min in (None, True, False):
+                    if keep_min is not None and wd.is_placeholder_only(w):
+                        continue
+                    assert fn._cut_sum(f, g, w, keep_min) == \
+                        reference_cut_sum(f, g, w, keep_min), (w, keep_min)
+
+    @pytest.mark.parametrize("interval_kind", [True, False])
+    def test_star_powers_match_fraction_loop(self, interval_kind):
+        kind = fn.LIE_INTERVAL if interval_kind else fn.GENERIC
+        for seed in (3, 4):
+            f = self.functional(seed, kind)
+            memo, cuts = {}, {}
+            for v in AB.complete_words(5, 1):
+                assert fn._star_power_values(f, v, memo, cuts, interval_kind) == \
+                    reference_star_powers(f, v, interval_kind), v

@@ -162,8 +162,18 @@ class TestExchange:
     def test_invalid_right_factor(self):
         t = tw("LLL", "001")
         bad = tw("L", "1")  # opaque where the split is translucent
-        with pytest.raises(ValueError):
-            tr.exchange(bad, tw("L", "0"), t, 2)
+        for _ in range(2):  # exceptions are not cached
+            with pytest.raises(ValueError):
+                tr.exchange(bad, tw("L", "0"), t, 2)
+
+    def test_cache_matches_uncached(self):
+        for t in tr.all_words(5):
+            for i in tr.translucent_positions(t):
+                t_minus, t_plus = tr.split(t, i)
+                for _, s_minus in tr.factorizations(t_minus):
+                    for _, s_plus in tr.factorizations(t_plus):
+                        args = (s_minus, s_plus, t, i)
+                        assert tr.exchange(*args) == tr.exchange.__wrapped__(*args)
 
     def test_recomposition_exhaustive(self):
         for t in tr.all_words(5):

@@ -5,10 +5,11 @@ from bifc import verify as vf
 
 @pytest.mark.parametrize("name", sorted(vf.SUITES))
 def test_suites_pass_at_small_scale(name):
-    result = vf.run_suite(name, max_len=3)
-    assert result.ok, str(result)
-    assert result.checked > 0
-    assert result.counterexample is None
+    for max_len in (0, 1, 2, 3, 4):
+        result = vf.run_suite(name, max_len=max_len)
+        assert result.ok, str(result)
+        assert result.checked > 0 or max_len == 0
+        assert result.counterexample is None
 
 
 def test_unknown_suite():

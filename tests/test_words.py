@@ -101,6 +101,22 @@ class TestCutGenerator:
             assert len(cuts) == len(set(cuts))
             assert set(cuts) == expected
 
+    def test_plan_matches_restrict_and_translucidate(self):
+        # one variable per position, so a picker taking a wrong index shows
+        for t in tr.all_words(6):
+            w = wd.IncompleteWord(
+                tuple(f"x{p}{side}" if bit == "1" else side
+                      for p, (side, bit) in enumerate(zip(t.alpha, t.mask), start=1)),
+                t.alpha)
+            for keep_min in (None, True, False):
+                if keep_min is not None and "1" not in t.mask:
+                    with pytest.raises(ValueError):
+                        wd._cut_plan(t, keep_min)
+                    continue
+                expected = [(wd._restrict_sorted(w, kept), wd._translucidate_set(w, kept))
+                            for kept in tr.cut_sets(t, keep_min)]
+                assert list(wd.admissible_cuts(w, keep_min)) == expected, (t, keep_min)
+
     def test_factorizations_match_brute_force(self):
         # one pair (restrict(t, J), translucidate(t, J)) per set J between
         # the translucent positions of t and all of its positions
