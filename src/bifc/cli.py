@@ -39,7 +39,7 @@ from .cumulants import (
     moments_to_cumulants,
 )
 from .diagrams import render_svg
-from .translucent import TranslucentWord
+from .translucent import TranslucentWord, opaque_positions
 from .verify import SUITES, run_suite
 from .words import Alphabet, IncompleteWord, type_of
 
@@ -48,14 +48,19 @@ MAX_LEN_CAP = 14
 # 2+2-letter table at length 6, converted from one family to another, needs
 # about 1.4 M; integer tables run at about a million products a second.
 CONVERT_BUDGET = 2_000_000
+# Entries one ``enumerate --format json`` or ``svg`` may list.  The document
+# is built in memory, so memory binds before time: 93,298 monotone entries
+# take 3.9 s and 1.07 GB as SVG (3.2 s and 0.4 GB as JSON) on a 2-core host
+# with Python 3.11.
+LIST_BUDGET = 100_000
 # Building one term of a class, once per side pattern, costs about as much
 # as this many block products: one letter at length 12 has 0.29 M products
 # and 0.29 M terms to build, and takes 3.2 s and 230 MB.
 TERM_BUILD_COST = 10
 # Largest --max-len each ``verify`` suite admits.  One length more takes
-# 30 s or longer on a 2-core host with Python 3.11: codendriform,
-# dendriform and exponentials over 100 s, exchange 69 s (483 MB), prelie
-# 60 s (802 MB), roundtrip 31 s, single_faced 77 s.
+# 30 s or longer on a 2-core host with Python 3.11: codendriform and
+# dendriform over 100 s, exponentials 82 s (541 MB), exchange 69 s (483 MB),
+# prelie 60 s (802 MB), roundtrip 31 s, single_faced 77 s.
 VERIFY_MAX_LEN = {"codendriform": 6, "dendriform": 7, "exchange": 6, "exponentials": 6,
                   "prelie": 7, "roundtrip": 6, "single_faced": 8}
 
@@ -109,6 +114,13 @@ def cmd_enumerate(args) -> int:
     if args.format == "count":
         _emit(f"{count_bipartitions(t, args.cls)}\n", args.output)
         return 0
+    entries = (_bell(len(opaque_positions(t))) if args.cls == "all"
+               else count_bipartitions(t, args.cls))
+    if entries > LIST_BUDGET:
+        raise UsageError(
+            f"--class {args.cls} on {t} has {entries:,} entries, over the listing "
+            f"budget of {LIST_BUDGET:,}; use --format count"
+        )
     bps = enumerate_bipartitions(t, args.cls)
     if args.format == "json":
         payload = [bp.to_json() for bp in bps]
@@ -116,6 +128,17 @@ def cmd_enumerate(args) -> int:
     else:
         _emit(render_svg(bps), args.output)
     return 0
+
+
+def _bell(n: int) -> int:
+    """The Bell number ``B(n)``, the count of the class ``all`` at ``n`` opaque positions."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?\Z")
@@ -133,14 +156,25 @@ def _load_rational(raw, where: str) -> Fraction:
         raise UsageError(f"{where}: zero denominator: {raw!r}")
 
 
+def _unique_keys(pairs) -> dict:
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} appears twice")
+        out[key] = value
+    return out
+
+
 def _load_table(path: str, expect_family: bool):
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}")
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}")
     if not (isinstance(data, dict) and isinstance(data.get("variables"), dict)
             and isinstance(data.get("moments"), dict)):
         raise UsageError(f"{path}: expected an object with 'variables' and 'moments' objects")
@@ -154,11 +188,15 @@ def _load_table(path: str, expect_family: bool):
     except ValueError as exc:
         raise UsageError(f"{path}: {exc}")
     table = {}
+    spelled = {}
     for key, raw in data["moments"].items():
         try:
             word = alphabet.word(key)
         except ValueError as exc:
             raise UsageError(f"{path}: bad word {key!r}: {exc}")
+        if word in spelled:
+            raise UsageError(f"{path}: keys {spelled[word]!r} and {key!r} spell the same word")
+        spelled[word] = key
         table[word] = _load_rational(raw, f"{path}[{key!r}]")
     family = data.get("family")
     if expect_family and family not in FAMILIES:

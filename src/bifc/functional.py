@@ -21,16 +21,18 @@ a pointwise rule per word; the products return one, and a table-backed
 
 Duality with the coproducts of :mod:`bifc.words` gives the convolution
 ``star`` and the half-products ``prec`` and ``succ``; the preLie product is
-``prec`` minus the flipped ``succ``.  Their cut sums, and the star powers
-behind ``exp_star`` and ``log_star``, read the cuts from the per-type plan
-of :func:`bifc.words._cut_plan`, add their terms up in Python ints and build
-one :class:`~fractions.Fraction` per value.  Three exponentials solve
-``M = counit + k prec M`` (sums over shaded noncrossing bipartitions),
-``M = counit + M succ b`` (interval bipartitions) and the convolution
-exponential with ``1/n!`` weights (labelled monotone bipartitions with
-``1/|blocks|!``); for full-kind directions all three collapse to the sum
-over all bipartitions.  :func:`oracle_sum` computes those bipartition sums
-directly and independently, with ``block_sum(t, cls, w, lookup)`` over the
+``prec`` minus the flipped ``succ``.  All of them are one cut sum,
+:func:`_cut_sum`, which reads the cuts from the per-type plan of
+:func:`bifc.words._cut_plan`, adds its terms up in Python ints and builds
+one :class:`~fractions.Fraction` per value.  The exponentials are that cut
+sum under a :class:`Lazy` too: the fixed points ``M = counit + k prec M``
+(sums over shaded noncrossing bipartitions) and ``M = counit + M succ b``
+(interval bipartitions), and the convolution exponential with ``1/n!``
+weights (labelled monotone bipartitions with ``1/|blocks|!``), whose star
+powers, like those of ``log_star``, are one :class:`Lazy` each; for
+full-kind directions all three collapse to the sum over all bipartitions.
+:func:`oracle_sum` computes those bipartition sums directly and
+independently, with ``block_sum(t, cls, w, lookup)`` over the
 ``(blocks, weight)`` terms of :func:`bifc.bipartition.class_terms`.  Those
 terms are compiled once per type and class into a plan of distinct blocks
 and integer weights over a common denominator, so a block sum runs in
@@ -55,7 +57,6 @@ from .words import (
     _cut_plan,
     _picker,
     _restrict_sorted,
-    admissible_cuts,
     is_complete,
     is_placeholder_only,
     opaque_positions_w,
@@ -302,128 +303,63 @@ def _require_kind(f: Functional, kind: str, op: str) -> None:
         raise ValueError(f"{op} expects a {kind} functional, got {f.kind}")
 
 
+def _fixed_point_table(alphabet: Alphabet, max_len: int, step) -> dict:
+    """``M = counit + step(M, w)`` tabulated on the complete words up to ``max_len``.
+
+    ``M`` is a :class:`Lazy`, so each word's value is computed once; the
+    recursion terminates because every cut ``step`` sums over leaves fewer
+    opaque letters on the side where ``M`` is evaluated.
+    """
+    M = Lazy(lambda w: Q(1) if is_placeholder_only(w) else step(M, w), 1)
+    return {v: M.eval(v) for v in alphabet.complete_words(max_len, min_len=1)}
+
+
 def exp_prec(k: Functional, max_len: int) -> Functional:
     """Solve ``M = counit + k prec M``; tabulated on complete words.
 
     The recursion sums, over the kept sets containing the lessdot-first
     opaque position, ``k`` on the restriction times ``M`` on the
-    translucidation; it terminates because each step removes at least one
-    opaque letter.
+    translucidation.
     """
     _require_kind(k, LIE_INTERVAL, "exp_prec")
-    return Functional(GROUP_MULTIPLICATIVE, k.alphabet,
-                      _left_fixed_point_table(k, max_len))
-
-
-def _left_fixed_point_table(k: Functional, max_len: int) -> dict:
-    """``M = counit + k prec M`` on the complete words up to ``max_len``."""
-    M = Lazy(lambda w: Q(1) if is_placeholder_only(w) else _cut_sum(k, M, w, True), 1)
-    return {v: M.eval(v) for v in k.alphabet.complete_words(max_len, min_len=1)}
-
-
-@lru_cache(maxsize=4096)
-def _interval_cuts(sides: str) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Kept sets of complete words whose complement is one standard-order run.
-
-    For a complete word with side pattern ``sides``, these are exactly the
-    cuts whose translucidation can carry a nonzero interval-kind value; the
-    complement run is returned alongside.
-    """
-    so = standard_order(sides)
-    n = len(sides)
-    out = []
-    for start in range(n):
-        for stop in range(start + 1, n + 1):
-            comp = so.perm[start:stop]
-            kept = tuple(sorted(set(range(1, n + 1)) - set(comp)))
-            out.append((kept, tuple(sorted(comp))))
-    return tuple(out)
+    return Functional(GROUP_MULTIPLICATIVE, k.alphabet, _fixed_point_table(
+        k.alphabet, max_len, lambda M, w: _cut_sum(k, M, w, True)))
 
 
 def exp_succ(b: Functional, max_len: int) -> Functional:
     """Solve ``M = counit + M succ b``; tabulated on complete words."""
     _require_kind(b, LIE_INTERVAL, "exp_succ")
-    memo: dict[IncompleteWord, Fraction] = {}
-
-    def value(w: IncompleteWord) -> Fraction:
-        if is_placeholder_only(w):
-            return Q(1)
-        try:
-            return memo[w]
-        except KeyError:
-            pass
-        letters, sides = w.letters, w.sides
-        both = letters + tuple(sides)
-        nums = []
-        dens = []
-        for restrict, kept_sides, translucidate in _cut_plan(type_of(w), False):
-            coeff = b.eval(IncompleteWord(translucidate(both), sides))
-            if coeff:
-                v = value(IncompleteWord(restrict(letters), kept_sides))
-                nums.append(v.numerator * coeff.numerator)
-                dens.append(v.denominator * coeff.denominator)
-        total = memo[w] = _fraction_sum(nums, dens)
-        return total
-
-    table = {v: value(v) for v in b.alphabet.complete_words(max_len, min_len=1)}
-    return Functional(GROUP_MULTIPLICATIVE, b.alphabet, table)
+    return Functional(GROUP_MULTIPLICATIVE, b.alphabet, _fixed_point_table(
+        b.alphabet, max_len, lambda M, w: _cut_sum(M, b, w, False)))
 
 
-def _star_power_values(f, top: IncompleteWord, memo, cuts_cache,
-                       interval_kind: bool) -> list[Fraction]:
-    """Values ``f**(star n)(top)`` for ``n = 1..len(top)`` on a complete word.
+def _star_powers(f, max_len: int) -> list[Lazy]:
+    """``[f**(star n) for n = 1..max_len]``, each power a :class:`Lazy`.
 
-    ``f`` must vanish on placeholder-only words, so the power series is
-    finite.  With ``interval_kind`` set, only cuts whose dropped positions
-    form one standard-order run can contribute and the others are skipped.
+    ``f`` must vanish on placeholder-only words, so each factor of a power
+    takes at least one letter and ``f**(star n)`` vanishes on words shorter
+    than ``n``.
     """
+    powers = [f]
+    for n in range(2, max_len + 1):
+        powers.append(Lazy(lambda w, n=n, prev=powers[-1]:
+                           Q(0) if len(w) < n else _cut_sum(prev, f, w, None)))
+    return powers
 
-    def power(n: int, u: IncompleteWord) -> Fraction:
-        if n == 1:
-            return f.eval(u)
-        if n > len(u):
-            return Q(0)
-        key = (n, u)
-        try:
-            return memo[key]
-        except KeyError:
-            pass
-        pairs = cuts_cache.get(u)
-        if pairs is None:
-            if interval_kind:
-                pairs = tuple(
-                    (_restrict_sorted(u, kept), _restrict_sorted(u, comp))
-                    for kept, comp in _interval_cuts(u.sides)
-                )
-            else:
-                pairs = tuple(admissible_cuts(u))
-            cuts_cache[u] = pairs
-        nums = []
-        dens = []
-        for left, right in pairs:
-            coeff = f.eval(right)
-            if coeff:
-                p = power(n - 1, left)
-                nums.append(p.numerator * coeff.numerator)
-                dens.append(p.denominator * coeff.denominator)
-        total = memo[key] = _fraction_sum(nums, dens)
-        return total
 
-    return [power(n, top) for n in range(1, len(top) + 1)]
+def _power_series_table(f, alphabet: Alphabet, max_len: int, coefficient) -> dict:
+    """``sum(coefficient(n) * f**(star n))`` on the complete words up to ``max_len``."""
+    powers = _star_powers(f, max_len)
+    return {v: sum((coefficient(n) * p.eval(v)
+                    for n, p in enumerate(powers[:len(v)], start=1)), Q(0))
+            for v in alphabet.complete_words(max_len, min_len=1)}
 
 
 def exp_star(m: Functional, max_len: int) -> Functional:
     """Convolution exponential ``counit + sum(m**(star n) / n!)``."""
     _require_kind(m, LIE_INTERVAL, "exp_star")
-    memo: dict = {}
-    cuts: dict = {}
-    table = {}
-    for v in m.alphabet.complete_words(max_len, min_len=1):
-        powers = _star_power_values(m, v, memo, cuts, interval_kind=True)
-        table[v] = sum(
-            (p / math.factorial(n) for n, p in enumerate(powers, start=1)), Q(0)
-        )
-    return Functional(GROUP_MULTIPLICATIVE, m.alphabet, table)
+    return Functional(GROUP_MULTIPLICATIVE, m.alphabet, _power_series_table(
+        m, m.alphabet, max_len, lambda n: Q(1, math.factorial(n))))
 
 
 def log_star(M: Functional, max_len: int) -> Functional:
@@ -434,16 +370,8 @@ def log_star(M: Functional, max_len: int) -> Functional:
     """
     _require_kind(M, GROUP_MULTIPLICATIVE, "log_star")
     shifted = Lazy(lambda w: Q(0) if is_placeholder_only(w) else M.eval(w))
-    memo: dict = {}
-    cuts: dict = {}
-    table = {}
-    for v in M.alphabet.complete_words(max_len, min_len=1):
-        powers = _star_power_values(shifted, v, memo, cuts, interval_kind=False)
-        total = Q(0)
-        for n, p in enumerate(powers, start=1):
-            total += Q((-1) ** (n - 1), n) * p
-        table[v] = total
-    return Functional(LIE_INTERVAL, M.alphabet, table)
+    return Functional(LIE_INTERVAL, M.alphabet, _power_series_table(
+        shifted, M.alphabet, max_len, lambda n: Q((-1) ** (n - 1), n)))
 
 
 def exp_full(k: Functional, max_len: int) -> Functional:
@@ -454,7 +382,8 @@ def exp_full(k: Functional, max_len: int) -> Functional:
     ``k`` over the blocks.
     """
     _require_kind(k, LIE_FULL, "exp_full")
-    return Functional(GROUP_FULL, k.alphabet, _left_fixed_point_table(k, max_len))
+    return Functional(GROUP_FULL, k.alphabet, _fixed_point_table(
+        k.alphabet, max_len, lambda M, w: _cut_sum(k, M, w, True)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from bifc import cli
 from bifc import verify as vf
-from bifc.bipartition import CLASSES, make_bipartition, make_labeled
+from bifc.bipartition import CLASSES, count_bipartitions, make_bipartition, make_labeled
 from bifc.cumulants import FAMILIES
 from bifc.diagrams import render_svg
 from bifc.translucent import TranslucentWord
@@ -73,6 +73,23 @@ class TestEnumerate:
         code, _, err = run(capsys, "enumerate", "--type", "LLL,111",
                            "--format", "count")
         assert code == 2 and "cap" in err
+
+    def test_oversized_listing_refused_up_front(self, capsys):
+        for type_, cls in (("LRRLLRRLLRRLL,1111111111111", "nc"),
+                           ("LRRLLRRLLRRLLR,11111111111111", "all"),
+                           ("LRRLLRRL,11111111", "monotone")):
+            for fmt in ("json", "svg"):
+                code, out, err = run(capsys, "enumerate", "--type", type_,
+                                     "--class", cls, "--format", fmt)
+                assert code == 2 and out == ""
+                assert err.startswith("error:") and "listing budget" in err
+        # every listing at 6 opaque positions or fewer stays admitted
+        assert 7 * 6 * 5 * 4 * 3 <= cli.LIST_BUDGET  # monotone at 6: 7!/2
+
+    def test_bell_counts_class_all(self):
+        for type_ in (",", "L,0", "LR,11", "LRLL,0101", "RLRRLR,110101", "LLRLRRL,1111111"):
+            t = TranslucentWord.parse(type_)
+            assert cli._bell(t.mask.count("1")) == count_bipartitions(t, "all")
 
     @pytest.mark.parametrize("raw", ["abc", "-1"])
     def test_guardrail_rejects_bad_value(self, capsys, monkeypatch, raw):
@@ -251,6 +268,20 @@ class TestConvert:
         code, out, _ = run(capsys, "convert", "--input", str(src),
                            "--from", "moments", "--to", "bifree", "--max-len", "8")
         assert code == 0 and json.loads(out)["family"] == "bifree"
+
+    def test_word_spelled_twice_refused(self, tmp_path, capsys):
+        # "aL  bR" parses to the word of "aL bR"; a later key must not
+        # silently overwrite an earlier one, nor a literal repeat of a key
+        src = tmp_path / "m.json"
+        for pair, second in (('"aL bR": "1", "aL  bR": "5"', "'aL  bR'"),
+                             ('"aL bR": "1", "aL bR": "5"', "twice")):
+            src.write_text('{"variables": {"aL": "L", "bR": "R"}, "moments": {"aL": "1", '
+                           '"bR": "1", "aL aL": "1", "bR aL": "1", "bR bR": "1", '
+                           + pair + '}}')
+            code, out, err = run(capsys, "convert", "--input", str(src),
+                                 "--from", "moments", "--to", "bifree", "--max-len", "2")
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and "'aL bR'" in err and second in err
 
     def test_negative_max_len(self, tmp_path, capsys):
         src = tmp_path / "m.json"

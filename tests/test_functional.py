@@ -6,6 +6,7 @@ import pytest
 from bifc import functional as fn
 from bifc import translucent as tr
 from bifc import words as wd
+from bifc.biset import standard_order
 
 AB = wd.Alphabet.make(left={"aL"}, right={"aR"})
 TWO = wd.Alphabet.make(left={"aL", "bL"}, right={"aR", "bR"})
@@ -390,9 +391,14 @@ def reference_cut_sum(f, g, w, keep_min):
     return total
 
 
-def reference_star_powers(f, top, interval_kind):
-    """``f**(star n)(top)`` for ``n = 1..len(top)``, term by term in Fractions."""
-    memo = {}
+def reference_star_powers(f, top, interval_kind, memo):
+    """``f**(star n)(top)`` for ``n = 1..len(top)``, term by term in Fractions.
+
+    ``top`` is complete.  With ``interval_kind`` set, only the cuts whose
+    dropped positions form one standard-order run can contribute; the others
+    are skipped and ``f`` is read on the restriction to the run.  ``memo``
+    maps ``(n, word)`` to a value and may be shared between calls.
+    """
 
     def power(n, u):
         if n == 1:
@@ -400,17 +406,20 @@ def reference_star_powers(f, top, interval_kind):
         if n > len(u):
             return Q(0)
         if (n, u) not in memo:
-            if interval_kind:
-                pairs = [(wd.restrict_word(u, kept), wd.restrict_word(u, comp))
-                         for kept, comp in fn._interval_cuts(u.sides)]
-            else:
-                pairs = [(wd.restrict_word(u, kept), wd.translucidate_word(u, kept))
-                         for kept in tr.cut_sets(wd.type_of(u), None)]
+            perm = standard_order(u.sides).perm
+            runs = {tuple(sorted(perm[i:j]))
+                    for i in range(len(u)) for j in range(i + 1, len(u) + 1)}
             total = Q(0)
-            for left, right in pairs:
-                coeff = f.eval(right)
+            for kept in tr.cut_sets(wd.type_of(u), None):
+                dropped = tuple(p for p in range(1, len(u) + 1) if p not in kept)
+                if not interval_kind:
+                    coeff = f.eval(wd.translucidate_word(u, kept))
+                elif dropped in runs:
+                    coeff = f.eval(wd.restrict_word(u, dropped))
+                else:
+                    continue
                 if coeff:
-                    total += power(n - 1, left) * coeff
+                    total += power(n - 1, wd.restrict_word(u, kept)) * coeff
             memo[n, u] = total
         return memo[n, u]
 
@@ -418,12 +427,13 @@ def reference_star_powers(f, top, interval_kind):
 
 
 class TestCutSums:
-    def functional(self, seed, kind=fn.GENERIC, unit_value=None):
+    def functional(self, seed, kind=fn.GENERIC, unit_value=None, alphabet=AB):
         rng = random.Random(seed)
-        words = (AB.words(5, 1) if kind == fn.GENERIC else AB.complete_words(5, 1))
+        words = (alphabet.words(5, 1) if kind == fn.GENERIC
+                 else alphabet.complete_words(5, 1))
         table = {w: rng.choice(TestBlockSum.VALUES) for w in words
                  if not wd.is_placeholder_only(w)}
-        return fn.Functional(kind, AB, table, unit_value=unit_value)
+        return fn.Functional(kind, alphabet, table, unit_value=unit_value)
 
     def test_cut_sum_matches_fraction_loop(self):
         for seed in (1, 2):
@@ -440,8 +450,9 @@ class TestCutSums:
     def test_star_powers_match_fraction_loop(self, interval_kind):
         kind = fn.LIE_INTERVAL if interval_kind else fn.GENERIC
         for seed in (3, 4):
-            f = self.functional(seed, kind)
-            memo, cuts = {}, {}
-            for v in AB.complete_words(5, 1):
-                assert fn._star_power_values(f, v, memo, cuts, interval_kind) == \
-                    reference_star_powers(f, v, interval_kind), v
+            f = self.functional(seed, kind, alphabet=TWO)
+            powers = fn._star_powers(f, 5)
+            memo = {}
+            for v in TWO.complete_words(5, 1):
+                assert [p.eval(v) for p in powers[:len(v)]] == \
+                    reference_star_powers(f, v, interval_kind, memo), v
