@@ -14,8 +14,8 @@ first alternating from pair to pair.  The record holds every run's five
 end-to-end metrics, their medians and quartiles per side, the number of
 pairs the change won per metric, the Python version, ``os.cpu_count()``,
 and the wall time and peak RSS of acceptance criteria 3 (exponentials,
-words <= 6) and 6 (exchange, ``|t|`` <= 6), each run once per tree in a
-fresh process.
+words <= 6), 4 (codendriform, words <= 5) and 6 (exchange, ``|t|`` <= 6),
+each run once per tree in a fresh process.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("enumerate", "convert", "verify")
 METRICS = ("setup_s", "wall_s", "op_p50_s", "op_max_s", "peak_rss_mb")  # all lower is better
-CRITERIA = {"3": ("exponentials", 6, 42), "6": ("exchange", 6, None)}
+CRITERIA = {"3": ("exponentials", 6, 42), "4": ("codendriform", 5, None),
+            "6": ("exchange", 6, None)}
 # every record uses the same pairs and run length, so records compare
 PAIRS = 10
 SECONDS = 30.0

@@ -365,8 +365,14 @@ def enumerate_bipartitions(t: TranslucentWord, cls: str = "all") -> list:
 
 
 def count_bipartitions(t: TranslucentWord, cls: str = "all") -> int:
-    """``len(enumerate_bipartitions(t, cls))``, without listing anything."""
+    """``len(enumerate_bipartitions(t, cls))``, without listing anything.
+
+    The class ``all`` holds every set partition of the opaque positions, so
+    its count is their Bell number; the other classes walk :func:`_grow`.
+    """
     _check_request(t, cls)
+    if cls == "all":
+        return _bell(len(opaque_positions(t)))
     total = 0
 
     def leaf(_blocks, count):
@@ -375,6 +381,17 @@ def count_bipartitions(t: TranslucentWord, cls: str = "all") -> int:
 
     _walk(t, cls, leaf)
     return total
+
+
+def _bell(n: int) -> int:
+    """The Bell number ``B(n)``, by the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
 
 
 def class_terms(t: TranslucentWord, cls: str) -> tuple[tuple[Blocks, Fraction], ...]:

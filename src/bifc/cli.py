@@ -39,7 +39,7 @@ from .cumulants import (
     moments_to_cumulants,
 )
 from .diagrams import render_svg
-from .translucent import TranslucentWord, opaque_positions
+from .translucent import TranslucentWord
 from .verify import SUITES, run_suite
 from .words import Alphabet, IncompleteWord, type_of
 
@@ -58,9 +58,10 @@ LIST_BUDGET = 100_000
 # and 0.29 M terms to build, and takes 3.2 s and 230 MB.
 TERM_BUILD_COST = 10
 # Largest --max-len each ``verify`` suite admits.  One length more takes
-# 30 s or longer on a 2-core host with Python 3.11: codendriform and
-# dendriform over 100 s, exponentials 82 s (541 MB), exchange 69 s (483 MB),
-# prelie 60 s (802 MB), roundtrip 31 s, single_faced 77 s.
+# 30 s or longer on a 2-core host with Python 3.11: dendriform over 100 s,
+# exponentials 82 s (541 MB), exchange 62 s (249 MB), codendriform 58 s
+# (483 MB; 4.4 s and 103 MB at its admitted 6), prelie 60 s (802 MB),
+# roundtrip 31 s, single_faced 77 s.
 VERIFY_MAX_LEN = {"codendriform": 6, "dendriform": 7, "exchange": 6, "exponentials": 6,
                   "prelie": 7, "roundtrip": 6, "single_faced": 8}
 
@@ -111,11 +112,10 @@ def _emit(text: str, output: str | None) -> None:
 
 def cmd_enumerate(args) -> int:
     t = _resolve_type(args)
+    entries = count_bipartitions(t, args.cls)
     if args.format == "count":
-        _emit(f"{count_bipartitions(t, args.cls)}\n", args.output)
+        _emit(f"{entries}\n", args.output)
         return 0
-    entries = (_bell(len(opaque_positions(t))) if args.cls == "all"
-               else count_bipartitions(t, args.cls))
     if entries > LIST_BUDGET:
         raise UsageError(
             f"--class {args.cls} on {t} has {entries:,} entries, over the listing "
@@ -128,17 +128,6 @@ def cmd_enumerate(args) -> int:
     else:
         _emit(render_svg(bps), args.output)
     return 0
-
-
-def _bell(n: int) -> int:
-    """The Bell number ``B(n)``, the count of the class ``all`` at ``n`` opaque positions."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]
 
 
 _RATIONAL_RE = re.compile(r"-?\d+(/\d+)?\Z")

@@ -15,9 +15,8 @@ by the triangular recursion that peels off the one-block term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .functional import (
     Functional,
@@ -36,19 +35,25 @@ FAMILIES = ("bifree", "biboolean", "bimonotone")
 _FAMILY_CLASS = {"bifree": "nc", "biboolean": "interval", "bimonotone": "monotone"}
 
 
-@dataclass
 class MomentData:
-    alphabet: Alphabet
-    values: dict[IncompleteWord, Fraction]
+    __slots__ = ("alphabet", "values")
 
-    def __post_init__(self):
-        self.values = {w: Q(v) for w, v in self.values.items()}
+    def __init__(self, alphabet: Alphabet, values: Mapping[IncompleteWord, Fraction]):
+        self.alphabet = alphabet
+        self.values = {w: Q(v) for w, v in values.items()}
         for w in self.values:
             if not is_complete(w):
                 raise ValueError(f"moments are keyed by complete words: {w.text!r}")
         self.values.setdefault(EMPTY_WORD, Q(1))
         if self.values[EMPTY_WORD] != 1:
             raise ValueError("the empty-word moment must be 1")
+
+    def __repr__(self) -> str:
+        return f"MomentData(alphabet={self.alphabet!r}, values={self.values!r})"
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is MomentData and self.alphabet == other.alphabet
+                and self.values == other.values)
 
     def moment(self, w: IncompleteWord) -> Fraction:
         try:
@@ -57,21 +62,29 @@ class MomentData:
             raise KeyError(f"missing moment entry for {w.text!r}") from None
 
 
-@dataclass
 class CumulantData:
-    family: str
-    alphabet: Alphabet
-    values: dict[IncompleteWord, Fraction] = field(default_factory=dict)
+    __slots__ = ("family", "alphabet", "values")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        self.values = {w: Q(v) for w, v in self.values.items()}
+    def __init__(self, family: str, alphabet: Alphabet,
+                 values: Mapping[IncompleteWord, Fraction] | None = None):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+        self.family = family
+        self.alphabet = alphabet
+        self.values = {w: Q(v) for w, v in (values or {}).items()}
         for w in self.values:
             if not is_complete(w) or len(w) == 0:
                 raise ValueError(
                     f"cumulants are keyed by nonempty complete words: {w.text!r}"
                 )
+
+    def __repr__(self) -> str:
+        return (f"CumulantData(family={self.family!r}, alphabet={self.alphabet!r}, "
+                f"values={self.values!r})")
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is CumulantData and self.family == other.family
+                and self.alphabet == other.alphabet and self.values == other.values)
 
     def cumulant(self, w: IncompleteWord) -> Fraction:
         try:
@@ -110,8 +123,7 @@ def cumulant_functional(c: CumulantData) -> Functional:
     return Functional(LIE_INTERVAL, c.alphabet, c.values)
 
 
-@dataclass
-class CheckLine:
+class CheckLine(NamedTuple):
     family: str
     word: IncompleteWord
     expected: Fraction

@@ -148,7 +148,6 @@ def factorizations(t: TranslucentWord) -> list[tuple[TranslucentWord, Translucen
     return [(_restrict_sorted(t, j), translucidate(t, j)) for j in cut_sets(t, None)]
 
 
-@lru_cache(maxsize=65536)
 def cut_sets(t: TranslucentWord, keep_min: bool | None) -> tuple[tuple[int, ...], ...]:
     """The sets ``J`` of :func:`factorizations`, each sorted naturally.
 
@@ -156,17 +155,32 @@ def cut_sets(t: TranslucentWord, keep_min: bool | None) -> tuple[tuple[int, ...]
     opaque ones, chosen in binary counting order (the naturally last
     opaque position toggles fastest).  ``keep_min`` splits the sets at the
     lessdot-first opaque position: ``True`` keeps it, ``False`` drops it,
-    ``None`` yields both kinds.
+    ``None`` yields both kinds.  The sets depend on the side pattern only
+    through that position, so they are built once per mask and position
+    (see :func:`_cut_key`).
     """
-    base = translucent_positions(t)
+    return _mask_cut_sets(*_cut_key(t, keep_min))
+
+
+def _cut_key(t: TranslucentWord, keep_min: bool | None) -> tuple[str, int, bool | None]:
+    """``(mask, first, keep_min)``: all that :func:`cut_sets` reads of ``t``.
+
+    ``first`` is the lessdot-first opaque position when ``keep_min`` is
+    set, else 0.
+    """
+    if keep_min is None:
+        return t.mask, 0, None
     free = opaque_positions(t)
-    head: tuple[int, ...] = ()
-    if keep_min is not None:
-        if not free:
-            raise ValueError(f"type has no opaque position: {t}")
-        first = standard_order(t.alpha).min_of(free)
-        free = tuple(p for p in free if p != first)
-        head = (first,) if keep_min else ()
+    if not free:
+        raise ValueError(f"type has no opaque position: {t}")
+    return t.mask, standard_order(t.alpha).min_of(free), keep_min
+
+
+@lru_cache(maxsize=65536)
+def _mask_cut_sets(mask: str, first: int, keep_min: bool | None):
+    base = tuple(i for i, b in enumerate(mask, start=1) if b == "0")
+    free = tuple(i for i, b in enumerate(mask, start=1) if b == "1" and i != first)
+    head = (first,) if keep_min else ()
     return tuple(
         tuple(sorted(base + head + tuple(p for p, b in zip(free, bits) if b)))
         for bits in product((False, True), repeat=len(free))

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import cumulants as cm
 from . import functional as fn
@@ -40,8 +39,7 @@ from .biset import standard_order
 Q = Fraction
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     ok: bool
     checked: int
@@ -74,10 +72,21 @@ def _random_table(alphabet: wd.Alphabet, rng: random.Random, max_len: int,
 # ---------------------------------------------------------------------------
 # codendriform
 
+@lru_cache(maxsize=65536)
+def _coproduct_terms(op, w: wd.IncompleteWord) -> tuple:
+    """``op(w)``'s ``((left, right), multiplicity)`` terms, expanded once per word.
+
+    Keyed on the operation itself, so a replaced ``wd.coproduct*`` is
+    expanded afresh; ``op`` returns a new mutable ``WordSum``, kept here
+    as a tuple.
+    """
+    return tuple(op(w).items())
+
+
 def _expand_slot(terms: Counter, slot: int, op) -> Counter:
     out: Counter = Counter()
     for tup, mult in terms.items():
-        for (a, b), m in op(tup[slot]).items():
+        for (a, b), m in _coproduct_terms(op, tup[slot]):
             out[tup[:slot] + (a, b) + tup[slot + 1:]] += mult * m
     return out
 
@@ -260,10 +269,11 @@ def _compat_counters(w_minus, w_plus, t, i, halves: str):
     w = wd.horizontal_product(w_minus, w_plus, t, i)
     lhs = Counter(wd.admissible_cuts(w, keep_min))
     rhs: Counter = Counter()
+    plus_cuts = [(ell_plus, u_plus, wd.type_of(u_plus))
+                 for ell_plus, u_plus in wd.admissible_cuts(w_plus)]
     for ell_minus, u_minus in wd.admissible_cuts(w_minus, keep_min):
         s_minus = wd.type_of(u_minus)
-        for ell_plus, u_plus in wd.admissible_cuts(w_plus):
-            s_plus = wd.type_of(u_plus)
+        for ell_plus, u_plus, s_plus in plus_cuts:
             r, s = tr.exchange(s_minus, s_plus, t, i)
             u = wd.horizontal_product(u_minus, u_plus, s, i)
             i_prime = tr.translucent_positions(s).index(i) + 1

@@ -7,8 +7,9 @@ like translucent words do: the left word overwrites the placeholders of the
 right one.  Dually, the decomposition coproduct of a word sums its
 *admissible cuts* ``(restriction, translucidation)`` over all position sets
 sandwiched between the translucent positions and everything.  Those sets
-depend on the type alone, so :func:`_cut_plan` compiles them once per type
-into letter pickers that every word of the type reuses.
+depend on the type only through its mask and its lessdot-first opaque
+position, so :func:`_cut_plan` compiles them once per mask into letter
+pickers that the words of all side patterns of the mask share.
 
 The reduced coproduct splits in two according to whether the cut keeps the
 lessdot-first opaque letter in the left factor (``coproduct_left``) or in
@@ -33,9 +34,10 @@ from typing import Iterable, Iterator, NamedTuple
 from .biset import LEFT, RIGHT, standard_order
 from .translucent import (
     TranslucentWord,
+    _cut_key,
+    _mask_cut_sets,
     _split_at,
     composable,
-    cut_sets,
     source,
     target,
     translucent_positions,
@@ -258,22 +260,31 @@ def _picker(indices: tuple[int, ...]):
 
 @lru_cache(maxsize=65536)
 def _cut_plan(t: TranslucentWord, keep_min: bool | None = None):
-    """The admissible cuts of the words of type ``t``, compiled once.
+    """The admissible cuts of the words of type ``t``, compiled once per mask.
 
     One ``(restrict, sides, translucidate)`` triple per set of
     :func:`bifc.translucent.cut_sets` ``(t, keep_min)``, in its order.
     ``restrict`` takes the kept letters from a word's letter tuple and
     ``sides`` is their side string.  ``translucidate`` takes the
     translucidation's letters from ``letters + tuple(sides)`` of the word:
-    the placeholder at kept positions, the letter elsewhere.
+    the placeholder at kept positions, the letter elsewhere.  The pickers
+    depend on ``t`` only through :func:`bifc.translucent._cut_key`, so
+    the side patterns of one mask share them; only the side strings are
+    per type.
     """
-    n = len(t.alpha)
+    alpha = t.alpha
+    return tuple((restrict, "".join(restrict(alpha)), translucidate)
+                 for restrict, translucidate in _mask_cut_plan(*_cut_key(t, keep_min)))
+
+
+@lru_cache(maxsize=65536)
+def _mask_cut_plan(mask: str, first: int, keep_min: bool | None):
+    n = len(mask)
     plan = []
-    for kept in cut_sets(t, keep_min):
+    for kept in _mask_cut_sets(mask, first, keep_min):
         members = set(kept)
         plan.append((
             _picker(tuple(p - 1 for p in kept)),
-            "".join(t.alpha[p - 1] for p in kept),
             _picker(tuple(n + p - 1 if p in members else p - 1 for p in range(1, n + 1))),
         ))
     return tuple(plan)

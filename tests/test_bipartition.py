@@ -314,6 +314,18 @@ class TestEnumerate:
             weight * math.factorial(len(blocks))
             for blocks, weight in bp.class_terms(t, "monotone"))
 
+    def test_all_count_is_bell_number(self):
+        # the growth walk stays the reference for the closed form
+        for t in tr.all_words(8):
+            walked = 0
+
+            def leaf(_blocks, count):
+                nonlocal walked
+                walked += count
+
+            bp._walk(t, "all", leaf)
+            assert bp.count_bipartitions(t, "all") == walked, t
+
     @pytest.mark.parametrize("cls", bp.CLASSES)
     def test_count_matches_enumeration(self, cls):
         for t in tr.all_words(5):

@@ -5,7 +5,7 @@ import pytest
 
 from bifc import cli
 from bifc import verify as vf
-from bifc.bipartition import CLASSES, count_bipartitions, make_bipartition, make_labeled
+from bifc.bipartition import CLASSES, make_bipartition, make_labeled
 from bifc.cumulants import FAMILIES
 from bifc.diagrams import render_svg
 from bifc.translucent import TranslucentWord
@@ -85,11 +85,6 @@ class TestEnumerate:
                 assert err.startswith("error:") and "listing budget" in err
         # every listing at 6 opaque positions or fewer stays admitted
         assert 7 * 6 * 5 * 4 * 3 <= cli.LIST_BUDGET  # monotone at 6: 7!/2
-
-    def test_bell_counts_class_all(self):
-        for type_ in (",", "L,0", "LR,11", "LRLL,0101", "RLRRLR,110101", "LLRLRRL,1111111"):
-            t = TranslucentWord.parse(type_)
-            assert cli._bell(t.mask.count("1")) == count_bipartitions(t, "all")
 
     @pytest.mark.parametrize("raw", ["abc", "-1"])
     def test_guardrail_rejects_bad_value(self, capsys, monkeypatch, raw):

@@ -97,6 +97,28 @@ class TestFactorizations:
             for r, s in pairs:
                 assert tr.compose(r, s) == t
 
+    @pytest.mark.parametrize("keep_min", [None, True, False])
+    def test_cut_set_order(self, keep_min):
+        # binary counting over the opaque positions, the naturally last one
+        # the lowest bit, after setting the lessdot-first one aside
+        for t in tr.all_words(6):
+            opaque = [p for p, b in enumerate(t.mask, start=1) if b == "1"]
+            if keep_min is not None and not opaque:
+                with pytest.raises(ValueError):
+                    tr.cut_sets(t, keep_min)
+                continue
+            head = []
+            if keep_min is not None:
+                first = next(p for p in standard_order(t.alpha).perm if p in opaque)
+                opaque.remove(first)
+                head = [first] if keep_min else []
+            base = [p for p, b in enumerate(t.mask, start=1) if b == "0"] + head
+            m = len(opaque)
+            expected = [
+                tuple(sorted(base + [p for j, p in enumerate(opaque) if k >> (m - 1 - j) & 1]))
+                for k in range(2 ** m)]
+            assert list(tr.cut_sets(t, keep_min)) == expected, (t, keep_min)
+
 
 class TestSplit:
     def test_golden_splits(self):

@@ -1,6 +1,9 @@
+import functools
+
 import pytest
 
 from bifc import verify as vf
+from bifc import words as wd
 
 
 @pytest.mark.parametrize("name", sorted(vf.SUITES))
@@ -28,3 +31,27 @@ def test_seed_changes_tables_not_outcome():
     a = vf.run_suite("dendriform", max_len=3, seed=1)
     b = vf.run_suite("dendriform", max_len=3, seed=2)
     assert a.ok and b.ok
+
+
+def test_codendriform_sees_a_broken_half(monkeypatch):
+    # the suite's coproduct memo, warm from a first run, must not hide a
+    # left half that lost a term; the reduced coproduct loses it too, so
+    # only the expanded axioms can tell
+    assert vf.suite_codendriform(max_len=3).ok
+
+    def drop_first_left_term(op):
+        @functools.wraps(op)  # same name, so only the function itself tells
+        def dropped(w):
+            out = op(w)
+            left = sorted(original_left(w).counter, key=str)
+            if left and left[0] in out.counter:
+                del out.counter[left[0]]
+            return out
+        return dropped
+
+    original_left = wd.coproduct_left
+    monkeypatch.setattr(wd, "coproduct_left", drop_first_left_term(wd.coproduct_left))
+    monkeypatch.setattr(wd, "reduced_coproduct", drop_first_left_term(wd.reduced_coproduct))
+    result = vf.suite_codendriform(max_len=3)
+    assert not result.ok
+    assert "splitting" not in result.counterexample, result.counterexample
