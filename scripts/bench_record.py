@@ -13,9 +13,11 @@ For each workload and each of the ten pairs ``k``, ``perfbench/run.py
 first alternating from pair to pair.  The record holds every run's five
 end-to-end metrics, their medians and quartiles per side, the number of
 pairs the change won per metric, the Python version, ``os.cpu_count()``,
-and the wall time and peak RSS of acceptance criteria 3 (exponentials,
-words <= 6), 4 (codendriform, words <= 5) and 6 (exchange, ``|t|`` <= 6),
-each run once per tree in a fresh process.
+and the wall time, child CPU time and peak RSS of acceptance criteria 3
+(exponentials, words <= 6), 4 (codendriform, words <= 5), 6 (exchange,
+``|t|`` <= 6), 7 (roundtrip, words <= 6) and 8 (single_faced, words <= 7),
+and of the roundtrip suite at length 7, one length past its
+``cli.VERIFY_MAX_LEN`` entry, each run once per tree in a fresh process.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("enumerate", "convert", "verify")
 METRICS = ("setup_s", "wall_s", "op_p50_s", "op_max_s", "peak_rss_mb")  # all lower is better
 CRITERIA = {"3": ("exponentials", 6, 42), "4": ("codendriform", 5, None),
-            "6": ("exchange", 6, None)}
+            "6": ("exchange", 6, None), "7": ("roundtrip", 6, 42),
+            "8": ("single_faced", 7, 42)}
+# suites one length past their VERIFY_MAX_LEN entry, run at the suite's own seed
+REACH = {"roundtrip": 7}
 # every record uses the same pairs and run length, so records compare
 PAIRS = 10
 SECONDS = 30.0
@@ -51,7 +56,7 @@ def run_workload(tree: Path, workload: str, seed: int) -> dict:
 
 
 def run_criterion(tree: Path, suite: str, max_len: int, seed: int | None) -> dict:
-    """Wall time and peak RSS of one suite run in a fresh process."""
+    """Wall time, CPU time and peak RSS of one suite run in a fresh process."""
     code = ("import sys; from bifc import verify; "
             f"sys.exit(not verify.run_suite({suite!r}, max_len={max_len}, seed={seed}).ok)")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -60,6 +65,7 @@ def run_criterion(tree: Path, suite: str, max_len: int, seed: int | None) -> dic
     _pid, status, usage = os.wait4(child.pid, 0)
     wall = perf_counter() - t0
     return {"ok": os.waitstatus_to_exitcode(status) == 0, "wall_s": round(wall, 3),
+            "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
 
 
@@ -106,6 +112,11 @@ def main(argv=None) -> int:
                  **{side: run_criterion(tree, suite, max_len, seed)
                     for side, tree in trees.items()}}
         for number, (suite, max_len, seed) in CRITERIA.items()}
+    record["reach"] = {
+        suite: {"max_len": max_len,
+                **{side: run_criterion(tree, suite, max_len, None)
+                   for side, tree in trees.items()}}
+        for suite, max_len in REACH.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -400,13 +400,9 @@ def class_terms(t: TranslucentWord, cls: str) -> tuple[tuple[Blocks, Fraction], 
     Weight 1 per bipartition, except the monotone class, whose labelled
     bipartitions come grouped by their blocks with total weight
     ``count / |blocks|! = 1 / prod(hook)``.  Blocks are in canonical order.
+    Each call walks the class afresh; ``block_sum`` keeps the terms compiled.
     """
     _check_request(t, cls)
-    return _terms_cached(t, cls)
-
-
-@lru_cache(maxsize=65536)
-def _terms_cached(t: TranslucentWord, cls: str):
     out = []
     one = Fraction(1)
 

@@ -61,7 +61,8 @@ TERM_BUILD_COST = 10
 # 30 s or longer on a 2-core host with Python 3.11: dendriform over 100 s,
 # exponentials 82 s (541 MB), exchange 62 s (249 MB), codendriform 58 s
 # (483 MB; 4.4 s and 103 MB at its admitted 6), prelie 60 s (802 MB),
-# roundtrip 31 s, single_faced 77 s.
+# single_faced 77 s; roundtrip 27-34 s and 78 MB in three single runs, too
+# close to 30 s to move its entry on them.
 VERIFY_MAX_LEN = {"codendriform": 6, "dendriform": 7, "exchange": 6, "exponentials": 6,
                   "prelie": 7, "roundtrip": 6, "single_faced": 8}
 

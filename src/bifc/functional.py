@@ -22,21 +22,21 @@ a pointwise rule per word; the products return one, and a table-backed
 Duality with the coproducts of :mod:`bifc.words` gives the convolution
 ``star`` and the half-products ``prec`` and ``succ``; the preLie product is
 ``prec`` minus the flipped ``succ``.  All of them are one cut sum,
-:func:`_cut_sum`, which reads the cuts from the per-type plan of
-:func:`bifc.words._cut_plan`, adds its terms up in Python ints and builds
-one :class:`~fractions.Fraction` per value.  The exponentials are that cut
-sum under a :class:`Lazy` too: the fixed points ``M = counit + k prec M``
-(sums over shaded noncrossing bipartitions) and ``M = counit + M succ b``
-(interval bipartitions), and the convolution exponential with ``1/n!``
-weights (labelled monotone bipartitions with ``1/|blocks|!``), whose star
-powers, like those of ``log_star``, are one :class:`Lazy` each; for
-full-kind directions all three collapse to the sum over all bipartitions.
-:func:`oracle_sum` computes those bipartition sums directly and
-independently, with ``block_sum(t, cls, w, lookup)`` over the
+:func:`_cut_sum`, which reads the cuts from the plan in the type's record
+(``bifc.translucent._facts(t).plan(keep_min)``), adds its terms up in
+Python ints and builds one :class:`~fractions.Fraction` per value.  The
+exponentials are that cut sum under a :class:`Lazy` too: the fixed points
+``M = counit + k prec M`` (sums over shaded noncrossing bipartitions) and
+``M = counit + M succ b`` (interval bipartitions), and the convolution
+exponential with ``1/n!`` weights (labelled monotone bipartitions with
+``1/|blocks|!``), whose star powers, like those of ``log_star``, are one
+:class:`Lazy` each; for full-kind directions all three collapse to the sum
+over all bipartitions.  :func:`oracle_sum` computes those bipartition sums
+directly and independently, with ``block_sum(t, cls, w, lookup)`` over the
 ``(blocks, weight)`` terms of :func:`bifc.bipartition.class_terms`.  Those
-terms are compiled once per type and class into a plan of distinct blocks
-and integer weights over a common denominator, so a block sum runs in
-Python ints and builds one :class:`~fractions.Fraction`.
+terms are compiled once per type and class, and kept nowhere else, into a
+plan of distinct blocks and integer weights over a common denominator, so
+a block sum runs in Python ints and builds one :class:`~fractions.Fraction`.
 
 All arithmetic is exact: values are :class:`fractions.Fraction`.
 """
@@ -48,14 +48,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .bipartition import class_terms
+from .bipartition import _check_request, class_terms
 from .biset import standard_order
-from .translucent import TranslucentWord, opaque_intervals
+from .translucent import TranslucentWord, _facts, _picker, opaque_intervals
 from .words import (
     Alphabet,
     IncompleteWord,
-    _cut_plan,
-    _picker,
     _restrict_sorted,
     is_complete,
     is_placeholder_only,
@@ -182,7 +180,8 @@ class Functional(Lazy):
 
 def _cut_sum(f, g, w: IncompleteWord, keep_min: bool | None) -> Fraction:
     """``f`` on the restriction times ``g`` on the translucidation, summed
-    over the cuts of ``w`` selected by ``keep_min`` (see :func:`_cut_plan`).
+    over the cuts of ``w`` selected by ``keep_min`` (see
+    :meth:`bifc.translucent._Facts.plan`).
 
     ``g`` is evaluated only where ``f`` is nonzero; the terms are added up
     in Python ints by :func:`_fraction_sum`.
@@ -191,7 +190,7 @@ def _cut_sum(f, g, w: IncompleteWord, keep_min: bool | None) -> Fraction:
     both = letters + tuple(sides)
     nums = []
     dens = []
-    for restrict, kept_sides, translucidate in _cut_plan(type_of(w), keep_min):
+    for restrict, kept_sides, translucidate in _facts(type_of(w)).plan(keep_min):
         left = f.eval(IncompleteWord(restrict(letters), kept_sides))
         if left:
             right = g.eval(IncompleteWord(translucidate(both), sides))
@@ -394,14 +393,17 @@ def block_sum(t: TranslucentWord, cls: str, w: IncompleteWord, lookup,
     """Sum of ``weight * prod(lookup(w | block))`` over ``class_terms(t, cls)``.
 
     ``w`` is a word of type ``t``.  The terms are compiled once per
-    ``(t, cls, skip_one_block)`` by :func:`_block_sum_plan`; each call adds
-    them up in Python ints and builds one :class:`~fractions.Fraction` at
-    the end.  Each block's value is looked up once per call and only when a
-    term reaches it; a product stops at its first zero factor.
-    ``skip_one_block`` leaves out the one-block terms.
+    ``(t, cls)`` by :func:`_block_sum_plan`; each call adds them up in
+    Python ints and builds one :class:`~fractions.Fraction` at the end.
+    Each block's value is looked up once per call and only when a term
+    reaches it; a product stops at its first zero factor.
+    ``skip_one_block`` leaves out the one-block term before anything is
+    looked up, so ``lookup`` need not know the whole word.
     """
-    class_terms(t, cls)  # reads the enumeration cap on every call
-    scale, blocks, terms = _block_sum_plan(t, cls, skip_one_block)
+    _check_request(t, cls)  # the enumeration cap is read on every call
+    scale, blocks, terms = _block_sum_plan(t, cls)
+    if skip_one_block and len(terms[0][1]) == 1:
+        terms = terms[1:]  # all in one block is the first restricted-growth string
     letters = w.letters
     values: list = [None] * len(blocks)
     nums = []
@@ -425,7 +427,7 @@ def block_sum(t: TranslucentWord, cls: str, w: IncompleteWord, lookup,
 
 
 @lru_cache(maxsize=65536)
-def _block_sum_plan(t: TranslucentWord, cls: str, skip_one_block: bool):
+def _block_sum_plan(t: TranslucentWord, cls: str):
     """``(scale, blocks, terms)`` for :func:`block_sum` on type ``t``.
 
     ``blocks`` holds each distinct block once as ``(pick, sides)``: ``pick``
@@ -434,13 +436,12 @@ def _block_sum_plan(t: TranslucentWord, cls: str, skip_one_block: bool):
     ``(numerator, block indices)`` pairs whose weights are the numerators
     over the common denominator ``scale``.
     """
-    kept = [(bl, weight) for bl, weight in class_terms(t, cls)
-            if not (skip_one_block and len(bl) == 1)]
-    scale = math.lcm(*(weight.denominator for _bl, weight in kept))
+    terms = class_terms(t, cls)
+    scale = math.lcm(*(weight.denominator for _bl, weight in terms))
     index: dict[tuple[int, ...], int] = {}
     blocks = []
-    terms = []
-    for bl, weight in kept:
+    plan = []
+    for bl, weight in terms:
         indices = []
         for block in bl:
             i = index.get(block)
@@ -449,8 +450,8 @@ def _block_sum_plan(t: TranslucentWord, cls: str, skip_one_block: bool):
                 blocks.append((_picker(tuple(p - 1 for p in block)),
                                "".join(t.alpha[p - 1] for p in block)))
             indices.append(i)
-        terms.append((weight.numerator * (scale // weight.denominator), tuple(indices)))
-    return scale, tuple(blocks), tuple(terms)
+        plan.append((weight.numerator * (scale // weight.denominator), tuple(indices)))
+    return scale, tuple(blocks), tuple(plan)
 
 
 def oracle_sum(k, w: IncompleteWord, cls: str) -> Fraction:

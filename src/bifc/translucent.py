@@ -10,15 +10,20 @@ with the mask of ``s``.  Every translucent word factors in exactly
 
 The canonical text encoding is ``"ALPHA,MASK"``, e.g.
 ``"LLRLRLRR,01100101"``.
+
+What the package keeps about a type alone is one cached record per type,
+:func:`_facts`.  Its cut plans share their letter pickers, compiled once
+per mask by :func:`_mask_cuts`, with every side pattern of the mask.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
-from .biset import check_lr_word, restrict_lr, standard_order
+from .biset import check_lr_word, standard_order
 
 
 class TranslucentWord(NamedTuple):
@@ -66,25 +71,82 @@ def fully_opaque(alpha: str) -> TranslucentWord:
     return TranslucentWord(alpha, "1" * len(alpha))
 
 
+class _Facts:
+    """What the package keeps of one type ``t``; see :func:`_facts`.
+
+    ``translucent``, ``opaque``, ``target`` and ``intervals`` hold the values
+    of :func:`translucent_positions`, :func:`opaque_positions`, :func:`target`
+    and :func:`opaque_intervals`; ``first`` is the lessdot-first opaque
+    position (``None`` if there is none).  :meth:`split` and :meth:`plan`
+    fill their tables on first use.
+    """
+
+    __slots__ = ("t", "translucent", "opaque", "target", "first", "intervals",
+                 "_splits", "_plans")
+
+    def __init__(self, t: TranslucentWord):
+        alpha, mask = self.t = t
+        self.translucent = tuple(i for i, b in enumerate(mask, start=1) if b == "0")
+        self.opaque = tuple(i for i, b in enumerate(mask, start=1) if b == "1")
+        self.target = "".join(alpha[i - 1] for i in self.translucent)
+        perm = standard_order(alpha).perm
+        self.first = next((p for p in perm if mask[p - 1] == "1"), None)
+        self.intervals = tuple(tuple(sorted(run)) for bit, run in
+                               groupby(perm, key=lambda p: mask[p - 1]) if bit == "1")
+        self._splits, self._plans = {}, {}
+
+    def split(self, i: int):
+        """``(before, after, t_minus, t_plus)`` at a translucent position ``i``."""
+        if i not in self._splits:
+            so = standard_order(self.t.alpha)
+            before, after = so.before(i), so.after(i)
+            self._splits[i] = (before, after, _restrict_sorted(self.t, before),
+                               _restrict_sorted(self.t, after))
+        return self._splits[i]
+
+    def cuts(self, keep_min: bool | None):
+        """The entries of :func:`_mask_cuts` whose set holds (``True``) or
+        lacks (``False``) the lessdot-first opaque position; all for ``None``."""
+        table = _mask_cuts(self.t.mask)
+        if keep_min is None:
+            return table
+        if self.first is None:
+            raise ValueError(f"type has no opaque position: {self.t}")
+        return tuple(cut for cut in table if (self.first in cut[0]) == keep_min)
+
+    def plan(self, keep_min: bool | None):
+        """The admissible cuts of the words of this type: one ``(restrict,
+        sides, translucidate)`` per set of :func:`cut_sets` ``(t, keep_min)``,
+        with ``sides`` the side string of the kept positions."""
+        if keep_min not in self._plans:
+            self._plans[keep_min] = tuple(
+                (restrict, "".join(restrict(self.t.alpha)), translucidate)
+                for _kept, restrict, translucidate in self.cuts(keep_min))
+        return self._plans[keep_min]
+
+
 @lru_cache(maxsize=65536)
+def _facts(t: TranslucentWord) -> _Facts:
+    """The one cached record of the type ``t``."""
+    return _Facts(t)
+
+
 def translucent_positions(t: TranslucentWord) -> tuple[int, ...]:
     """Mask-0 positions, in natural order."""
-    return tuple(i for i, b in enumerate(t.mask, start=1) if b == "0")
+    return _facts(t).translucent
 
 
-@lru_cache(maxsize=65536)
 def opaque_positions(t: TranslucentWord) -> tuple[int, ...]:
     """Mask-1 positions, in natural order."""
-    return tuple(i for i, b in enumerate(t.mask, start=1) if b == "1")
+    return _facts(t).opaque
 
 
 def source(t: TranslucentWord) -> str:
     return t.alpha
 
 
-@lru_cache(maxsize=65536)
 def target(t: TranslucentWord) -> str:
-    return restrict_lr(t.alpha, translucent_positions(t))
+    return _facts(t).target
 
 
 def _restrict_sorted(t: TranslucentWord, pos) -> TranslucentWord:
@@ -126,12 +188,13 @@ def compose(s: TranslucentWord, t: TranslucentWord) -> TranslucentWord:
     Requires ``source(s) == target(t)``.  Opaque positions of ``t`` stay
     opaque; the translucent positions of ``t`` are coloured by ``s``.
     """
-    if not composable(s, t):
+    facts = _facts(t)
+    if s.alpha != facts.target:
         raise ValueError(
-            f"not composable: source {source(s)!r} != target {target(t)!r}"
+            f"not composable: source {s.alpha!r} != target {facts.target!r}"
         )
     mask = list(t.mask)
-    for k, i in enumerate(translucent_positions(t)):
+    for k, i in enumerate(facts.translucent):
         mask[i - 1] = s.mask[k]
     return TranslucentWord(t.alpha, "".join(mask))
 
@@ -155,36 +218,40 @@ def cut_sets(t: TranslucentWord, keep_min: bool | None) -> tuple[tuple[int, ...]
     opaque ones, chosen in binary counting order (the naturally last
     opaque position toggles fastest).  ``keep_min`` splits the sets at the
     lessdot-first opaque position: ``True`` keeps it, ``False`` drops it,
-    ``None`` yields both kinds.  The sets depend on the side pattern only
-    through that position, so they are built once per mask and position
-    (see :func:`_cut_key`).
+    ``None`` yields both kinds.  Either half is the ``None`` list filtered
+    on that position, so all come from one table per mask, :func:`_mask_cuts`.
     """
-    return _mask_cut_sets(*_cut_key(t, keep_min))
+    return tuple(cut[0] for cut in _facts(t).cuts(keep_min))
 
 
-def _cut_key(t: TranslucentWord, keep_min: bool | None) -> tuple[str, int, bool | None]:
-    """``(mask, first, keep_min)``: all that :func:`cut_sets` reads of ``t``.
-
-    ``first`` is the lessdot-first opaque position when ``keep_min`` is
-    set, else 0.
-    """
-    if keep_min is None:
-        return t.mask, 0, None
-    free = opaque_positions(t)
-    if not free:
-        raise ValueError(f"type has no opaque position: {t}")
-    return t.mask, standard_order(t.alpha).min_of(free), keep_min
+def _picker(indices: tuple[int, ...]):
+    """Function taking the items at the 0-based ``indices`` as a tuple."""
+    if not indices:
+        return lambda seq: ()
+    if len(indices) == 1:
+        i = indices[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 @lru_cache(maxsize=65536)
-def _mask_cut_sets(mask: str, first: int, keep_min: bool | None):
+def _mask_cuts(mask: str):
+    """``(kept, restrict, translucidate)`` per cut set of the types with ``mask``.
+
+    The sets ``kept`` come in the ``keep_min=None`` order of :func:`cut_sets`.
+    ``restrict`` takes the kept letters from a word's letter tuple;
+    ``translucidate`` takes the translucidation's letters from ``letters +
+    tuple(sides)``: the placeholder at kept positions, the letter elsewhere.
+    """
+    n = len(mask)
     base = tuple(i for i, b in enumerate(mask, start=1) if b == "0")
-    free = tuple(i for i, b in enumerate(mask, start=1) if b == "1" and i != first)
-    head = (first,) if keep_min else ()
-    return tuple(
-        tuple(sorted(base + head + tuple(p for p, b in zip(free, bits) if b)))
-        for bits in product((False, True), repeat=len(free))
-    )
+    free = tuple(i for i, b in enumerate(mask, start=1) if b == "1")
+    table = []
+    for bits in product((False, True), repeat=len(free)):
+        kept = tuple(sorted(base + tuple(p for p, b in zip(free, bits) if b)))
+        table.append((kept, _picker(tuple(p - 1 for p in kept)), _picker(tuple(
+            n + p - 1 if p in kept else p - 1 for p in range(1, n + 1)))))
+    return tuple(table)
 
 
 def split(t: TranslucentWord, i: int) -> tuple[TranslucentWord, TranslucentWord]:
@@ -197,12 +264,9 @@ def split(t: TranslucentWord, i: int) -> tuple[TranslucentWord, TranslucentWord]
     return _split_at(t, i)[2:]
 
 
-@lru_cache(maxsize=65536)
 def _split_at(t: TranslucentWord, i: int):
     """``(before, after, t_minus, t_plus)`` at a translucent position ``i``."""
-    so = standard_order(t.alpha)
-    before, after = so.before(i), so.after(i)
-    return before, after, _restrict_sorted(t, before), _restrict_sorted(t, after)
+    return _facts(t).split(i)
 
 
 def is_right_factor(s: TranslucentWord, t: TranslucentWord) -> bool:
@@ -256,7 +320,6 @@ def exchange(
     return r, s
 
 
-@lru_cache(maxsize=65536)
 def opaque_intervals(t: TranslucentWord) -> tuple[tuple[int, ...], ...]:
     """Connected components of the opaque positions for the standard order.
 
@@ -264,18 +327,7 @@ def opaque_intervals(t: TranslucentWord) -> tuple[tuple[int, ...], ...]:
     the standard order of the whole word; they are listed in standard order,
     each as a tuple of positions in natural order.
     """
-    so = standard_order(t.alpha)
-    runs: list[list[int]] = []
-    current: list[int] = []
-    for pos in so.perm:
-        if t.mask[pos - 1] == "1":
-            current.append(pos)
-        elif current:
-            runs.append(current)
-            current = []
-    if current:
-        runs.append(current)
-    return tuple(tuple(sorted(run)) for run in runs)
+    return _facts(t).intervals
 
 
 def iota(t: TranslucentWord) -> tuple[int, ...]:

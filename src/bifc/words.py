@@ -7,9 +7,9 @@ like translucent words do: the left word overwrites the placeholders of the
 right one.  Dually, the decomposition coproduct of a word sums its
 *admissible cuts* ``(restriction, translucidation)`` over all position sets
 sandwiched between the translucent positions and everything.  Those sets
-depend on the type only through its mask and its lessdot-first opaque
-position, so :func:`_cut_plan` compiles them once per mask into letter
-pickers that the words of all side patterns of the mask share.
+depend on the type alone, so the type's record in :mod:`bifc.translucent`
+holds them compiled into letter pickers (``_facts(t).plan(keep_min)``),
+which the types of all side patterns of one mask share.
 
 The reduced coproduct splits in two according to whether the cut keeps the
 lessdot-first opaque letter in the left factor (``coproduct_left``) or in
@@ -28,20 +28,10 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .biset import LEFT, RIGHT, standard_order
-from .translucent import (
-    TranslucentWord,
-    _cut_key,
-    _mask_cut_sets,
-    _split_at,
-    composable,
-    source,
-    target,
-    translucent_positions,
-)
+from .translucent import TranslucentWord, _facts, _split_at, translucent_positions
 
 PLACEHOLDERS = (LEFT, RIGHT)
 
@@ -193,13 +183,13 @@ def compose_words(w: IncompleteWord, wp: IncompleteWord) -> IncompleteWord:
 
     Requires ``source(type_of(w)) == target(type_of(wp))``.
     """
-    tw, tp = type_of(w), type_of(wp)
-    if not composable(tw, tp):
+    facts = _facts(type_of(wp))
+    if w.sides != facts.target:
         raise ValueError(
-            f"words not composable: source {source(tw)!r} != target {target(tp)!r}"
+            f"words not composable: source {w.sides!r} != target {facts.target!r}"
         )
     letters = list(wp.letters)
-    for k, i in enumerate(translucent_positions(tp)):
+    for k, i in enumerate(facts.translucent):
         letters[i - 1] = w.letters[k]
     return IncompleteWord(tuple(letters), wp.sides)
 
@@ -242,52 +232,10 @@ class WordSum:
 
 def min_opaque(w: IncompleteWord) -> int:
     """The lessdot-first opaque position; error on placeholder-only words."""
-    opq = opaque_positions_w(w)
-    if not opq:
+    first = _facts(type_of(w)).first
+    if first is None:
         raise ValueError(f"word has no opaque letter: {w.text!r}")
-    return standard_order(w.sides).min_of(opq)
-
-
-def _picker(indices: tuple[int, ...]):
-    """Function taking the items at the 0-based ``indices`` as a tuple."""
-    if not indices:
-        return lambda seq: ()
-    if len(indices) == 1:
-        i = indices[0]
-        return lambda seq: (seq[i],)
-    return itemgetter(*indices)
-
-
-@lru_cache(maxsize=65536)
-def _cut_plan(t: TranslucentWord, keep_min: bool | None = None):
-    """The admissible cuts of the words of type ``t``, compiled once per mask.
-
-    One ``(restrict, sides, translucidate)`` triple per set of
-    :func:`bifc.translucent.cut_sets` ``(t, keep_min)``, in its order.
-    ``restrict`` takes the kept letters from a word's letter tuple and
-    ``sides`` is their side string.  ``translucidate`` takes the
-    translucidation's letters from ``letters + tuple(sides)`` of the word:
-    the placeholder at kept positions, the letter elsewhere.  The pickers
-    depend on ``t`` only through :func:`bifc.translucent._cut_key`, so
-    the side patterns of one mask share them; only the side strings are
-    per type.
-    """
-    alpha = t.alpha
-    return tuple((restrict, "".join(restrict(alpha)), translucidate)
-                 for restrict, translucidate in _mask_cut_plan(*_cut_key(t, keep_min)))
-
-
-@lru_cache(maxsize=65536)
-def _mask_cut_plan(mask: str, first: int, keep_min: bool | None):
-    n = len(mask)
-    plan = []
-    for kept in _mask_cut_sets(mask, first, keep_min):
-        members = set(kept)
-        plan.append((
-            _picker(tuple(p - 1 for p in kept)),
-            _picker(tuple(n + p - 1 if p in members else p - 1 for p in range(1, n + 1))),
-        ))
-    return tuple(plan)
+    return first
 
 
 def admissible_cuts(
@@ -298,11 +246,11 @@ def admissible_cuts(
     ``2**(number of variables)`` of them with ``keep_min=None``; half as
     many when ``keep_min`` keeps (``True``) or drops (``False``) the
     lessdot-first opaque position.  The trivial cuts are included.  The
-    kept sets depend on the type only; see :func:`_cut_plan`.
+    kept sets depend on the type only; see :meth:`bifc.translucent._Facts.plan`.
     """
     letters, sides = w.letters, w.sides
     both = letters + tuple(sides)
-    for restrict, kept_sides, translucidate in _cut_plan(type_of(w), keep_min):
+    for restrict, kept_sides, translucidate in _facts(type_of(w)).plan(keep_min):
         yield (IncompleteWord(restrict(letters), kept_sides),
                IncompleteWord(translucidate(both), sides))
 

@@ -368,6 +368,21 @@ class TestBlockSum:
 
             fn.block_sum(t, cls, w, counting)
             assert len(calls) == len(set(calls)), cls
+        # moments_to_cumulants skips the one-block term because the cumulant
+        # of the whole word is not known yet: it must never be looked up
+        rng = random.Random(12)
+        for t in tr.all_words(5):
+            if "0" in t.mask:
+                continue
+            whole = word_of_type(t, rng)
+
+            def guarded(u):
+                if u == whole:
+                    raise AssertionError(f"looked up the whole word {u.text!r}")
+                return table[u]
+
+            for cls in CLASSES:
+                fn.block_sum(t, cls, whole, guarded, skip_one_block=True)
 
     def test_cap_read_on_every_call(self, monkeypatch):
         from bifc import bipartition as bp

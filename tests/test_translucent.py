@@ -145,6 +145,37 @@ class TestSplit:
                 assert len(minus.alpha) + len(plus.alpha) == len(t.alpha) - 1
 
 
+class TestFacts:
+    def test_fields_and_splits_match_reference(self):
+        # every field of the record against a computation from scratch
+        for t in tr.all_words(6):
+            facts = tr._facts(t)
+            so = standard_order(t.alpha)
+            translucent = [p for p, b in enumerate(t.mask, start=1) if b == "0"]
+            opaque = [p for p, b in enumerate(t.mask, start=1) if b == "1"]
+            assert facts.t == t
+            assert facts.translucent == tuple(translucent) == tr.translucent_positions(t)
+            assert facts.opaque == tuple(opaque) == tr.opaque_positions(t)
+            assert facts.target == "".join(t.alpha[p - 1] for p in translucent) == tr.target(t)
+            assert facts.first == (min(opaque, key=so.rank) if opaque else None), t
+            runs, current = [], []
+            for p in so.perm:
+                if p in opaque:
+                    current.append(p)
+                elif current:
+                    runs.append(tuple(sorted(current)))
+                    current = []
+            if current:
+                runs.append(tuple(sorted(current)))
+            assert facts.intervals == tuple(runs) == tr.opaque_intervals(t), t
+            for i in translucent:
+                before, after = so.before(i), so.after(i)
+                assert facts.split(i) == (before, after, tr._restrict_sorted(t, before),
+                                          tr._restrict_sorted(t, after)), (t, i)
+                assert tr._split_at(t, i) is facts.split(i)
+            assert tr._facts(t) is facts
+
+
 class TestOpaqueIntervals:
     def test_golden(self):
         assert tr.opaque_intervals(tw("LRLLLR", "011101")) == ((3, 4), (2, 6))

@@ -108,14 +108,30 @@ class TestCutGenerator:
                 tuple(f"x{p}{side}" if bit == "1" else side
                       for p, (side, bit) in enumerate(zip(t.alpha, t.mask), start=1)),
                 t.alpha)
+            facts = tr._facts(t)
+            # the mirrored side pattern of the same mask shares every picker
+            mirror = tr._facts(tr.TranslucentWord(
+                t.alpha.translate(str.maketrans("LR", "RL")), t.mask))
+            shared = {kept: (restrict, translucidate) for kept, (restrict, _sides, translucidate)
+                      in zip(tr.cut_sets(t, None), mirror.plan(None))}
             for keep_min in (None, True, False):
                 if keep_min is not None and "1" not in t.mask:
                     with pytest.raises(ValueError):
-                        wd._cut_plan(t, keep_min)
+                        facts.plan(keep_min)
                     continue
                 expected = [(wd._restrict_sorted(w, kept), wd._translucidate_set(w, kept))
                             for kept in tr.cut_sets(t, keep_min)]
                 assert list(wd.admissible_cuts(w, keep_min)) == expected, (t, keep_min)
+                plan = facts.plan(keep_min)
+                if keep_min is not None:
+                    # either half is the whole plan filtered on the first position
+                    assert plan == tuple(
+                        cut for cut, kept in zip(facts.plan(None), tr.cut_sets(t, None))
+                        if (wd.min_opaque(w) in kept) == keep_min), (t, keep_min)
+                for kept, (restrict, _sides, translucidate) in zip(
+                        tr.cut_sets(t, keep_min), plan):
+                    assert shared[kept][0] is restrict, (t, keep_min, kept)
+                    assert shared[kept][1] is translucidate, (t, keep_min, kept)
 
     def test_factorizations_match_brute_force(self):
         # one pair (restrict(t, J), translucidate(t, J)) per set J between
