@@ -17,7 +17,9 @@ and the wall time, child CPU time and peak RSS of acceptance criteria 3
 (exponentials, words <= 6), 4 (codendriform, words <= 5), 6 (exchange,
 ``|t|`` <= 6), 7 (roundtrip, words <= 6) and 8 (single_faced, words <= 7),
 and of the roundtrip suite at length 7, one length past its
-``cli.VERIFY_MAX_LEN`` entry, each run once per tree in a fresh process.
+``cli.VERIFY_MAX_LEN`` entry.  Each of these runs ``REPEATS`` times per
+tree in a fresh process, the side that goes first alternating; the record
+holds every run and, under the run's own keys, the median of each figure.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ REACH = {"roundtrip": 7}
 # every record uses the same pairs and run length, so records compare
 PAIRS = 10
 SECONDS = 30.0
+# runs per tree of each criterion and reach entry: single runs drift with the host
+REPEATS = 3
 
 
 def run_workload(tree: Path, workload: str, seed: int) -> dict:
@@ -69,6 +73,20 @@ def run_criterion(tree: Path, suite: str, max_len: int, seed: int | None) -> dic
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
 
 
+def run_repeated(trees: dict[str, Path], suite: str, max_len: int,
+                 seed: int | None) -> dict:
+    """``run_criterion`` ``REPEATS`` times per tree, alternating the first side."""
+    runs: dict[str, list[dict]] = {side: [] for side in trees}
+    for k in range(REPEATS):
+        for side in (list(trees) if k % 2 == 0 else list(reversed(trees))):
+            runs[side].append(run_criterion(trees[side], suite, max_len, seed))
+    return {side: {"ok": all(r["ok"] for r in side_runs),
+                   **{name: statistics.median(r[name] for r in side_runs)
+                      for name in ("wall_s", "cpu_s", "peak_rss_mb")},
+                   "runs": side_runs}
+            for side, side_runs in runs.items()}
+
+
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": median, "q1": q1, "q3": q3}
@@ -87,7 +105,8 @@ def main(argv=None) -> int:
             parser.error(f"no perfbench/run.py under {tree}")
 
     record: dict = {"python": sys.version.split()[0], "cpu_count": os.cpu_count(),
-                    "pairs": PAIRS, "seconds": SECONDS, "workloads": {}}
+                    "pairs": PAIRS, "seconds": SECONDS, "repeats": REPEATS,
+                    "workloads": {}}
     for workload in WORKLOADS:
         runs: dict[str, list[dict]] = {"base": [], "change": []}
         seeds = [args.first_seed + k for k in range(PAIRS)]
@@ -109,13 +128,10 @@ def main(argv=None) -> int:
 
     record["criteria"] = {
         number: {"suite": suite, "max_len": max_len,
-                 **{side: run_criterion(tree, suite, max_len, seed)
-                    for side, tree in trees.items()}}
+                 **run_repeated(trees, suite, max_len, seed)}
         for number, (suite, max_len, seed) in CRITERIA.items()}
     record["reach"] = {
-        suite: {"max_len": max_len,
-                **{side: run_criterion(tree, suite, max_len, None)
-                   for side, tree in trees.items()}}
+        suite: {"max_len": max_len, **run_repeated(trees, suite, max_len, None)}
         for suite, max_len in REACH.items()}
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0

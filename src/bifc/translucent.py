@@ -77,12 +77,12 @@ class _Facts:
     ``translucent``, ``opaque``, ``target`` and ``intervals`` hold the values
     of :func:`translucent_positions`, :func:`opaque_positions`, :func:`target`
     and :func:`opaque_intervals`; ``first`` is the lessdot-first opaque
-    position (``None`` if there is none).  :meth:`split` and :meth:`plan`
-    fill their tables on first use.
+    position (``None`` if there is none).  :meth:`split`, :meth:`plan` and
+    :meth:`factorizations` fill their tables on first use.
     """
 
     __slots__ = ("t", "translucent", "opaque", "target", "first", "intervals",
-                 "_splits", "_plans")
+                 "_splits", "_plans", "_factorizations")
 
     def __init__(self, t: TranslucentWord):
         alpha, mask = self.t = t
@@ -93,7 +93,7 @@ class _Facts:
         self.first = next((p for p in perm if mask[p - 1] == "1"), None)
         self.intervals = tuple(tuple(sorted(run)) for bit, run in
                                groupby(perm, key=lambda p: mask[p - 1]) if bit == "1")
-        self._splits, self._plans = {}, {}
+        self._splits, self._plans, self._factorizations = {}, {}, None
 
     def split(self, i: int):
         """``(before, after, t_minus, t_plus)`` at a translucent position ``i``."""
@@ -104,25 +104,38 @@ class _Facts:
                                _restrict_sorted(self.t, after))
         return self._splits[i]
 
-    def cuts(self, keep_min: bool | None):
-        """The entries of :func:`_mask_cuts` whose set holds (``True``) or
-        lacks (``False``) the lessdot-first opaque position; all for ``None``."""
-        table = _mask_cuts(self.t.mask)
+    def half(self, entries: tuple, keep_min: bool | None) -> tuple:
+        """The ``entries``, one per set of :func:`_mask_cuts` in its order,
+        whose set holds (``True``) or lacks (``False``) the lessdot-first
+        opaque position; all of them for ``None``."""
         if keep_min is None:
-            return table
+            return entries
         if self.first is None:
             raise ValueError(f"type has no opaque position: {self.t}")
-        return tuple(cut for cut in table if (self.first in cut[0]) == keep_min)
+        return tuple(entry for entry, (kept, _r, _t) in zip(entries, _mask_cuts(self.t.mask))
+                     if (self.first in kept) == keep_min)
 
     def plan(self, keep_min: bool | None):
         """The admissible cuts of the words of this type: one ``(restrict,
         sides, translucidate)`` per set of :func:`cut_sets` ``(t, keep_min)``,
-        with ``sides`` the side string of the kept positions."""
+        with ``sides`` the side string of the kept positions.  Either half
+        holds the very entries of the ``None`` plan."""
         if keep_min not in self._plans:
-            self._plans[keep_min] = tuple(
-                (restrict, "".join(restrict(self.t.alpha)), translucidate)
-                for _kept, restrict, translucidate in self.cuts(keep_min))
+            if keep_min is None:
+                self._plans[None] = tuple(
+                    (restrict, "".join(restrict(self.t.alpha)), translucidate)
+                    for _kept, restrict, translucidate in _mask_cuts(self.t.mask))
+            else:
+                self._plans[keep_min] = self.half(self.plan(None), keep_min)
         return self._plans[keep_min]
+
+    def factorizations(self) -> tuple:
+        """The pairs of :func:`factorizations`."""
+        if self._factorizations is None:
+            self._factorizations = tuple(
+                (_restrict_sorted(self.t, kept), translucidate(self.t, kept))
+                for kept, _r, _t in _mask_cuts(self.t.mask))
+        return self._factorizations
 
 
 @lru_cache(maxsize=65536)
@@ -208,7 +221,7 @@ def factorizations(t: TranslucentWord) -> list[tuple[TranslucentWord, Translucen
     exactly ``2**(number of opaque positions)`` of them.  Pairs are listed
     with ``J`` in the order of :func:`cut_sets`.
     """
-    return [(_restrict_sorted(t, j), translucidate(t, j)) for j in cut_sets(t, None)]
+    return list(_facts(t).factorizations())
 
 
 def cut_sets(t: TranslucentWord, keep_min: bool | None) -> tuple[tuple[int, ...], ...]:
@@ -221,7 +234,7 @@ def cut_sets(t: TranslucentWord, keep_min: bool | None) -> tuple[tuple[int, ...]
     ``None`` yields both kinds.  Either half is the ``None`` list filtered
     on that position, so all come from one table per mask, :func:`_mask_cuts`.
     """
-    return tuple(cut[0] for cut in _facts(t).cuts(keep_min))
+    return tuple(kept for kept, _r, _t in _facts(t).half(_mask_cuts(t.mask), keep_min))
 
 
 def _picker(indices: tuple[int, ...]):

@@ -299,7 +299,9 @@ class TestGolden:
     merged, so any change in the exact values shows up here.  The
     ``enumerate_*`` files were written by the CLI as it stood before
     enumeration grew each class directly instead of filtering every set
-    partition, on types with two translucent positions.
+    partition, on types with two translucent positions.  The ``verify_len*``
+    files pin the check count of all seven suites at lengths 3 and 4; the
+    length-4 file was written before the suites shared one check loop.
     """
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -335,10 +337,11 @@ class TestGolden:
         assert code == 0
         assert out == (GOLDEN / "enumerate_shaded_nc_LRLL_0111.svg").read_text()
 
-    def test_verify_text(self, capsys):
-        code, out, _ = run(capsys, "verify", "--max-len", "3", "--seed", "1")
+    @pytest.mark.parametrize("max_len", ["3", "4"])
+    def test_verify_text(self, capsys, max_len):
+        code, out, _ = run(capsys, "verify", "--max-len", max_len, "--seed", "1")
         assert code == 0
-        assert out == (GOLDEN / "verify_len3_seed1.txt").read_text()
+        assert out == (GOLDEN / f"verify_len{max_len}_seed1.txt").read_text()
 
 
 class TestVerify:

@@ -2,6 +2,7 @@ import functools
 
 import pytest
 
+from bifc import functional as fn
 from bifc import verify as vf
 from bifc import words as wd
 
@@ -25,6 +26,30 @@ def test_result_formatting():
     text = str(res)
     assert "FAIL" in text and "bad thing" in text
     assert "pass" in str(vf.SuiteResult("demo", True, 3))
+
+
+def test_first_failure_counts_it_and_stops():
+    def checks():
+        yield None
+        yield None
+        yield "third check fails"
+        raise AssertionError("resumed after the first failure")
+
+    assert vf._first_failure("demo", checks()) == vf.SuiteResult(
+        "demo", False, 3, "third check fails")
+    assert vf._first_failure("demo", iter([None, None])) == vf.SuiteResult("demo", True, 2)
+    assert vf._first_failure("demo", iter([])) == vf.SuiteResult("demo", True, 0)
+
+
+def test_unrejected_counit_counts_as_a_check(monkeypatch):
+    # six relations per word, then the counit-on-both-sides check, which
+    # counts whether it passes or fails
+    words = sum(1 for _ in vf._small_alphabet().words(2))
+    monkeypatch.setattr(fn, "_check_half_product_args", lambda f, g, op: None)
+    result = vf.suite_dendriform(max_len=2)
+    assert not result.ok
+    assert result.counterexample == "counit-on-both-sides was not rejected"
+    assert result.checked == 6 * words + 1
 
 
 def test_seed_changes_tables_not_outcome():

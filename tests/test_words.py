@@ -124,10 +124,13 @@ class TestCutGenerator:
                 assert list(wd.admissible_cuts(w, keep_min)) == expected, (t, keep_min)
                 plan = facts.plan(keep_min)
                 if keep_min is not None:
-                    # either half is the whole plan filtered on the first position
-                    assert plan == tuple(
+                    # either half is the whole plan filtered on the first
+                    # position, holding the whole plan's very entries
+                    whole = tuple(
                         cut for cut, kept in zip(facts.plan(None), tr.cut_sets(t, None))
-                        if (wd.min_opaque(w) in kept) == keep_min), (t, keep_min)
+                        if (wd.min_opaque(w) in kept) == keep_min)
+                    assert plan == whole, (t, keep_min)
+                    assert all(a is b for a, b in zip(plan, whole)), (t, keep_min)
                 for kept, (restrict, _sides, translucidate) in zip(
                         tr.cut_sets(t, keep_min), plan):
                     assert shared[kept][0] is restrict, (t, keep_min, kept)
