@@ -20,6 +20,14 @@ and of the roundtrip suite at length 7, one length past its
 ``cli.VERIFY_MAX_LEN`` entry.  Each of these runs ``REPEATS`` times per
 tree in a fresh process, the side that goes first alternating; the record
 holds every run and, under the run's own keys, the median of each figure.
+
+Beside the workloads' ``setup_s`` (one ``bifc --version`` per run, as the
+host's environment runs it), ``version_s`` holds per tree the best of
+``VERSION_RUNS`` ``bifc --version`` wall times twice: ``host``, with the
+host's environment, and ``cached_bytecode``, with ``PYTHONPYCACHEPREFIX``
+in a temporary directory warmed by one run and ``PYTHONDONTWRITEBYTECODE``
+unset, so the gap between them is the compiling a host without a bytecode
+cache pays on every call.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
@@ -46,6 +55,8 @@ PAIRS = 10
 SECONDS = 30.0
 # runs per tree of each criterion and reach entry: single runs drift with the host
 REPEATS = 3
+# `bifc --version` runs per tree and environment; the best one is kept
+VERSION_RUNS = 15
 
 
 def run_workload(tree: Path, workload: str, seed: int) -> dict:
@@ -71,6 +82,26 @@ def run_criterion(tree: Path, suite: str, max_len: int, seed: int | None) -> dic
     return {"ok": os.waitstatus_to_exitcode(status) == 0, "wall_s": round(wall, 3),
             "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
             "peak_rss_mb": round(usage.ru_maxrss / 1024, 1)}
+
+
+def version_wall_s(tree: Path, env: dict) -> float:
+    """Wall time of one ``bifc --version`` from ``tree`` under ``env``."""
+    t0 = perf_counter()
+    subprocess.run([sys.executable, "-m", "bifc.cli", "--version"], cwd=tree,
+                   env=dict(env, PYTHONPATH=str(tree / "src")), capture_output=True, check=True)
+    return perf_counter() - t0
+
+
+def version_s(tree: Path) -> dict:
+    """Best of ``VERSION_RUNS`` ``bifc --version`` runs as the host runs them,
+    and with the bytecode cached."""
+    host = min(version_wall_s(tree, os.environ) for _ in range(VERSION_RUNS))
+    with tempfile.TemporaryDirectory() as prefix:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=prefix)
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        version_wall_s(tree, env)  # writes the cache
+        cached = min(version_wall_s(tree, env) for _ in range(VERSION_RUNS))
+    return {"host": round(host, 4), "cached_bytecode": round(cached, 4)}
 
 
 def run_repeated(trees: dict[str, Path], suite: str, max_len: int,
@@ -126,6 +157,7 @@ def main(argv=None) -> int:
             for name in METRICS}
         record["workloads"][workload] = entry
 
+    record["version_s"] = {side: version_s(tree) for side, tree in trees.items()}
     record["criteria"] = {
         number: {"suite": suite, "max_len": max_len,
                  **run_repeated(trees, suite, max_len, seed)}

@@ -20,9 +20,11 @@ component:
 
 Each class is one growth rule (:func:`_grow`): the positions are met in
 standard order and each opaque one joins an allowed block or opens a new
-one.  Enumeration walks that rule as a tree, in lexicographic
-restricted-growth order; the predicates replay a given partition through
-it.  The monotone rule grows the block sets that admit a monotone
+one.  The rule reads a type only through its key (:func:`_rank_key`): the
+mask in standard order and, for ``shaded_nc``, the rank of the naturally
+first translucent position.  Enumeration walks that rule as a tree, in
+lexicographic restricted-growth order; the predicates replay a given
+partition through it.  The monotone rule grows the block sets that admit a monotone
 labelling; each leaf carries its number of labellings by the hook-length
 formula, so counting and the weighted terms of :func:`class_terms` take
 one walk and list nothing.
@@ -51,6 +53,7 @@ from .translucent import (
 )
 
 Blocks = tuple[tuple[int, ...], ...]
+RankKey = tuple[str, str, int | None]  # see _rank_key
 
 CLASSES = ("all", "nc", "interval", "monotone", "shaded_nc")
 
@@ -137,35 +140,51 @@ def from_json(data: dict) -> Bipartition | LabeledBipartition:
 _TRANSLUCENT = -1  # the translucent block on a growth stack
 
 
-def _grow(t: TranslucentWord, cls: str, leaf, owner: dict[int, int] | None = None) -> None:
-    """Walk the growth tree of class ``cls`` on ``t``, calling ``leaf(blocks)`` per leaf.
+def _rank_key(t: TranslucentWord, cls: str) -> RankKey:
+    """``(flags, cls, shade)``: all that the growth rule of ``cls`` reads of ``t``.
 
-    The positions are met in standard order.  Each opaque one joins a block
-    of ``stack``, in opening order, or opens a new block, so the leaves come
-    in lexicographic restricted-growth order.  ``stack`` holds the joinable
-    blocks: all of them for ``all``, the block of the previous opaque
-    position for ``interval``.  For the noncrossing classes it is the stack
-    of open blocks, translucent block included: joining a block closes the
-    blocks above it; a translucent position does the same for the
-    translucent block, pushes it the first time, and kills the branch if it
-    was closed.  ``shaded_nc`` also closes every opaque block at the
-    naturally first translucent position, and ``monotone`` at every
-    translucent position: the translucent block has the lowest label, so
-    it may not nest inside an opaque block.
-
-    ``leaf`` gets the live block lists.  With ``owner`` (opaque position to
-    block index in opening order) only that choice is taken: one partition
-    is replayed, and it reaches a leaf iff it is in the class.
+    ``flags`` is the mask of ``t`` in standard order.  ``shade`` is the
+    0-based standard-order rank of the naturally first translucent position
+    for ``shaded_nc``, ``None`` otherwise.  Types with one key have the
+    same growth tree, up to relabelling the ranks by their standard order.
     """
-    perm = standard_order(t.alpha).perm
-    opaque = [t.mask[p - 1] == "1" for p in perm]
+    so = standard_order(t.alpha)
     transl = translucent_positions(t)
-    shade_at = transl[0] if cls == "shaded_nc" and transl else None
+    shade = so.rank(transl[0]) - 1 if cls == "shaded_nc" and transl else None
+    return "".join(t.mask[p - 1] for p in so.perm), cls, shade
+
+
+def _grow(key: RankKey, labels, leaf, owner: dict[int, int] | None = None) -> None:
+    """Walk the growth tree of the key ``(flags, cls, shade)`` of
+    :func:`_rank_key`, calling ``leaf(blocks)`` per leaf.
+
+    The positions are met in standard order; the one of rank ``k`` enters
+    the blocks as ``labels[k]``: its natural position for the standard
+    order's ``perm``, or ``k`` itself for ``range(n)``.  Each opaque one
+    joins a block of ``stack``, in opening order, or opens a new block, so
+    the leaves come in lexicographic restricted-growth order.  ``stack``
+    holds the joinable blocks: all of them for ``all``, the block of the
+    previous opaque position for ``interval``.  For the noncrossing classes
+    it is the stack of open blocks, translucent block included: joining a
+    block closes the blocks above it; a translucent position does the same
+    for the translucent block, pushes it the first time, and kills the
+    branch if it was closed.  ``shaded_nc`` also closes every opaque block
+    at the rank ``shade``, and ``monotone`` at every translucent position:
+    the translucent block has the lowest label, so it may not nest inside
+    an opaque block.
+
+    ``leaf`` gets the live block lists.  With ``owner`` (label to block
+    index in opening order) only that choice is taken: one partition is
+    replayed, and it reaches a leaf iff it is in the class.
+    """
+    flags, cls, shade = key
+    n = len(flags)
+    opaque = [f == "1" for f in flags]
     stacked = cls in ("nc", "shaded_nc", "monotone")
     blocks: list[list[int]] = []
 
     def step(k: int, stack: tuple[int, ...], seen: bool) -> None:
-        while k < len(perm) and not opaque[k]:
+        while k < n and not opaque[k]:
             if stacked:
                 if _TRANSLUCENT in stack:
                     stack = stack[:stack.index(_TRANSLUCENT) + 1]
@@ -173,14 +192,14 @@ def _grow(t: TranslucentWord, cls: str, leaf, owner: dict[int, int] | None = Non
                     return
                 else:
                     stack += (_TRANSLUCENT,)
-                if cls == "monotone" or perm[k] == shade_at:
+                if cls == "monotone" or k == shade:
                     stack = (_TRANSLUCENT,)
             seen = True
             k += 1
-        if k == len(perm):
+        if k == n:
             leaf(blocks)
             return
-        p = perm[k]
+        p = labels[k]
         for i, b in enumerate(stack):
             if b != _TRANSLUCENT and (owner is None or owner[p] == b):
                 blocks[b].append(p)
@@ -197,11 +216,11 @@ def _grow(t: TranslucentWord, cls: str, leaf, owner: dict[int, int] | None = Non
 
 def _replays(pi: Bipartition, cls: str) -> bool:
     """Whether ``pi`` survives the growth rule of ``cls`` with its own choices."""
-    rank = standard_order(pi.type.alpha).rank
-    opened = sorted(pi.blocks, key=lambda b: min(map(rank, b)))
+    so = standard_order(pi.type.alpha)
+    opened = sorted(pi.blocks, key=lambda b: min(map(so.rank, b)))
     owner = {p: j for j, block in enumerate(opened) for p in block}
     leaves: list = []
-    _grow(pi.type, cls, leaves.append, owner)
+    _grow(_rank_key(pi.type, cls), so.perm, leaves.append, owner)
     return bool(leaves)
 
 
@@ -303,6 +322,11 @@ def _monotone_labelings(pi: Bipartition) -> list[Blocks]:
 
 
 def _walk(t: TranslucentWord, cls: str, leaf) -> None:
+    """:func:`_walk_key` over the natural positions of ``t``."""
+    _walk_key(_rank_key(t, cls), standard_order(t.alpha).perm, leaf)
+
+
+def _walk_key(key: RankKey, labels, leaf) -> None:
     """:func:`_grow`, calling ``leaf(blocks, count)`` with the entries per leaf.
 
     ``count`` is 1, except for ``monotone``: its labellings are the linear
@@ -312,10 +336,10 @@ def _walk(t: TranslucentWord, cls: str, leaf) -> None:
     positions in standard order, so the hook of block ``b`` is the number
     of blocks opened up to its last position, minus ``b``.
     """
-    if cls != "monotone":
-        _grow(t, cls, lambda blocks: leaf(blocks, 1))
+    if key[1] != "monotone":
+        _grow(key, labels, lambda blocks: leaf(blocks, 1))
         return
-    rank = {p: r for r, p in enumerate(standard_order(t.alpha).perm)}
+    rank = {p: r for r, p in enumerate(labels)}
 
     def weighed(blocks):
         firsts = [rank[b[0]] for b in blocks]
@@ -324,7 +348,7 @@ def _walk(t: TranslucentWord, cls: str, leaf) -> None:
             hooks *= bisect_right(firsts, rank[b[-1]]) - i
         leaf(blocks, math.factorial(len(blocks)) // hooks)
 
-    _grow(t, cls, weighed)
+    _grow(key, labels, weighed)
 
 
 def _check_request(t: TranslucentWord, cls: str) -> None:
@@ -349,7 +373,7 @@ def _enumerate_cached(t: TranslucentWord, cls: str):
     else:
         def leaf(blocks):
             out.append(make_bipartition(t, blocks))
-    _grow(t, cls, leaf)
+    _grow(_rank_key(t, cls), standard_order(t.alpha).perm, leaf)
     return tuple(out)
 
 
@@ -400,17 +424,29 @@ def class_terms(t: TranslucentWord, cls: str) -> tuple[tuple[Blocks, Fraction], 
     Weight 1 per bipartition, except the monotone class, whose labelled
     bipartitions come grouped by their blocks with total weight
     ``count / |blocks|! = 1 / prod(hook)``.  Blocks are in canonical order.
-    Each call walks the class afresh; ``block_sum`` keeps the terms compiled.
+    Each call walks the class afresh.  ``block_sum`` keeps the terms
+    compiled once per key of :func:`_rank_key` (once per length and class
+    on the fully opaque types), through :func:`_key_terms` in rank space.
     """
     _check_request(t, cls)
+    return _key_terms(_rank_key(t, cls), standard_order(t.alpha).perm)
+
+
+def _key_terms(key: RankKey, labels) -> tuple[tuple[Blocks, Fraction], ...]:
+    """The terms of :func:`class_terms` for a key, positions given by ``labels``.
+
+    With ``labels = range(n)`` the blocks hold 0-based standard-order
+    ranks; with the standard order's ``perm`` they hold natural positions.
+    """
+    monotone = key[1] == "monotone"
     out = []
     one = Fraction(1)
 
     def leaf(blocks, count):
-        weight = Fraction(count, math.factorial(len(blocks))) if cls == "monotone" else one
+        weight = Fraction(count, math.factorial(len(blocks))) if monotone else one
         out.append((tuple(tuple(sorted(b)) for b in blocks), weight))
 
-    _walk(t, cls, leaf)
+    _walk_key(key, labels, leaf)
     return tuple(out)
 
 

@@ -53,9 +53,12 @@ CONVERT_BUDGET = 2_000_000
 # take 3.9 s and 1.07 GB as SVG (3.2 s and 0.4 GB as JSON) on a 2-core host
 # with Python 3.11.
 LIST_BUDGET = 100_000
-# Building one term of a class, once per side pattern, costs about as much
-# as this many block products: one letter at length 12 has 0.29 M products
-# and 0.29 M terms to build, and takes 3.2 s and 230 MB.
+# Building one term of a class costs about as much as this many block
+# products.  It was sized when the terms were built once per side pattern:
+# one letter at length 12 had 0.29 M products and 0.29 M terms to build, and
+# took 3.2 s and 230 MB.  The terms are now built once per length and class
+# and only the block pickers once per side pattern, so the estimate below
+# overstates that part.
 TERM_BUILD_COST = 10
 # Largest --max-len each ``verify`` suite admits.  One length more takes
 # 30 s or longer on a 2-core host with Python 3.11: dendriform over 100 s,
@@ -212,8 +215,11 @@ def _convert_work(letters: int, sides: int, families, max_len: int) -> int:
 
     Each word is one block sum per family passed through, with Catalan(n)
     terms at length ``n`` for ``bifree`` and ``bimonotone`` and 2^(n-1) for
-    ``biboolean``.  The terms are built once per side pattern, and ``sides``
-    (1 or 2) sides carry letters, so there are ``sides**n`` patterns.
+    ``biboolean``.  Each of the ``sides**n`` side patterns (``sides``, 1 or
+    2, is the number of sides that carry letters) is charged
+    ``TERM_BUILD_COST`` per term, the cost of building the terms once per
+    side pattern.  The terms are now built once per length and class, and
+    the block pickers once per side pattern, so this part is an overstatement.
     """
     def terms(family: str, n: int) -> int:
         return 2 ** (n - 1) if family == "biboolean" else math.comb(2 * n, n) // (n + 1)

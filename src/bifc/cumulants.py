@@ -21,7 +21,7 @@ from typing import Mapping, NamedTuple
 from .functional import (
     Functional,
     LIE_INTERVAL,
-    block_sum,
+    block_sums,
     exp_prec,
     exp_star,
     exp_succ,
@@ -93,11 +93,31 @@ class CumulantData:
             raise KeyError(f"missing cumulant entry for {w.text!r}") from None
 
 
+def _length_sums(alphabet: Alphabet, n: int, cls: str, lookup,
+                 skip_one_block: bool = False) -> dict[IncompleteWord, Fraction]:
+    """:func:`block_sums` of the complete words of length ``n``, one call per
+    side pattern, keyed in complete-word order."""
+    words = list(alphabet.complete_words(n, min_len=n))
+    patterns: dict[str, list[IncompleteWord]] = {}
+    for w in words:
+        patterns.setdefault(w.sides, []).append(w)
+    sums = {}
+    for sides, group in patterns.items():
+        sums.update(zip(group, block_sums(fully_opaque(sides), cls, group, lookup,
+                                          skip_one_block)))
+    return {w: sums[w] for w in words}
+
+
 def cumulants_to_moments(c: CumulantData, max_len: int) -> MomentData:
     """Weighted bipartition sums of cumulant products, up to ``max_len``."""
     cls = _FAMILY_CLASS[c.family]
-    values = {w: block_sum(fully_opaque(w.sides), cls, w, c.cumulant)
-              for w in c.alphabet.complete_words(max_len, min_len=1)}
+    values = {}
+    for n in range(1, max_len + 1):
+        # every word's one-block term needs its own cumulant: ask in
+        # complete-word order, so a missing one is named in that order
+        for w in c.alphabet.complete_words(n, min_len=n):
+            c.cumulant(w)
+        values.update(_length_sums(c.alphabet, n, cls, c.cumulant))
     return MomentData(c.alphabet, values)
 
 
@@ -111,10 +131,9 @@ def moments_to_cumulants(m: MomentData, family: str, max_len: int) -> CumulantDa
     out = CumulantData(family, m.alphabet)
     cls = _FAMILY_CLASS[family]
     for n in range(1, max_len + 1):
-        for w in m.alphabet.complete_words(n, min_len=n):
-            rest = block_sum(fully_opaque(w.sides), cls, w, out.cumulant,
-                             skip_one_block=True)
-            out.values[w] = m.moment(w) - rest
+        rest = _length_sums(m.alphabet, n, cls, out.cumulant, skip_one_block=True)
+        for w, others in rest.items():
+            out.values[w] = m.moment(w) - others
     return out
 
 

@@ -33,10 +33,15 @@ exponential with ``1/n!`` weights (labelled monotone bipartitions with
 :class:`Lazy` each; for full-kind directions all three collapse to the sum
 over all bipartitions.  :func:`oracle_sum` computes those bipartition sums
 directly and independently, with ``block_sum(t, cls, w, lookup)`` over the
-``(blocks, weight)`` terms of :func:`bifc.bipartition.class_terms`.  Those
-terms are compiled once per type and class, and kept nowhere else, into a
-plan of distinct blocks and integer weights over a common denominator, so
-a block sum runs in Python ints and builds one :class:`~fractions.Fraction`.
+``(blocks, weight)`` terms of :func:`bifc.bipartition.class_terms`; that is
+the one-word case of :func:`block_sums`, which the cumulant conversions
+call once per side pattern.  The terms depend on the type only through the
+key of :func:`bifc.bipartition._rank_key`, its mask in standard order, so
+they are compiled once per key, in rank space, and kept nowhere else, into
+a plan of distinct blocks and integer weights over a common denominator;
+each type relabels the blocks into letter pickers through its standard
+order.  A block sum runs in Python ints and builds one
+:class:`~fractions.Fraction` per word.
 
 All arithmetic is exact: values are :class:`fractions.Fraction`.
 """
@@ -48,7 +53,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .bipartition import _check_request, class_terms
+from .bipartition import RankKey, _check_request, _key_terms, _rank_key, class_terms
 from .biset import standard_order
 from .translucent import TranslucentWord, _facts, _picker, opaque_intervals
 from .words import (
@@ -388,70 +393,99 @@ def exp_full(k: Functional, max_len: int) -> Functional:
 # ---------------------------------------------------------------------------
 # bipartition-sum oracle
 
-def block_sum(t: TranslucentWord, cls: str, w: IncompleteWord, lookup,
-              skip_one_block: bool = False) -> Fraction:
-    """Sum of ``weight * prod(lookup(w | block))`` over ``class_terms(t, cls)``.
+def block_sums(t: TranslucentWord, cls: str, words, lookup,
+               skip_one_block: bool = False) -> list[Fraction]:
+    """:func:`block_sum` of each of ``words``, all of type ``t``, in their order.
 
-    ``w`` is a word of type ``t``.  The terms are compiled once per
-    ``(t, cls)`` by :func:`_block_sum_plan`; each call adds them up in
-    Python ints and builds one :class:`~fractions.Fraction` at the end.
-    Each block's value is looked up once per call and only when a term
-    reaches it; a product stops at its first zero factor.
-    ``skip_one_block`` leaves out the one-block term before anything is
-    looked up, so ``lookup`` need not know the whole word.
+    The cap is read, and the plan fetched, once per call.  The terms are
+    added up in Python ints, one :class:`~fractions.Fraction` per word.  A
+    block's value is looked up only when a term reaches it, and each
+    distinct block subword at most once per call; a product stops at its
+    first zero factor.  ``skip_one_block`` leaves out the one-block term
+    before anything is looked up, so ``lookup`` need not know the words
+    themselves.
     """
     _check_request(t, cls)  # the enumeration cap is read on every call
     scale, blocks, terms = _block_sum_plan(t, cls)
     if skip_one_block and len(terms[0][1]) == 1:
         terms = terms[1:]  # all in one block is the first restricted-growth string
-    letters = w.letters
-    values: list = [None] * len(blocks)
-    nums = []
-    dens = []
-    for num, indices in terms:
-        den = 1
-        for i in indices:
-            v = values[i]
-            if v is None:
-                pick, sides = blocks[i]
-                q = lookup(IncompleteWord(pick(letters), sides))
-                v = values[i] = (q.numerator, q.denominator)
-            num *= v[0]
-            if not num:
-                break
-            den *= v[1]
-        if num:
-            nums.append(num)
-            dens.append(den)
-    return _fraction_sum(nums, dens, scale)
+    known: dict[tuple, tuple[int, int]] = {}  # block subword -> (numerator, denominator)
+    out = []
+    for w in words:
+        letters = w.letters
+        values: list = [None] * len(blocks)
+        nums = []
+        dens = []
+        for num, indices in terms:
+            den = 1
+            for i in indices:
+                v = values[i]
+                if v is None:
+                    pick, sides = blocks[i]
+                    sub = (pick(letters), sides)
+                    v = known.get(sub)
+                    if v is None:
+                        q = lookup(IncompleteWord(*sub))
+                        v = known[sub] = (q.numerator, q.denominator)
+                    values[i] = v
+                num *= v[0]
+                if not num:
+                    break
+                den *= v[1]
+            if num:
+                nums.append(num)
+                dens.append(den)
+        out.append(_fraction_sum(nums, dens, scale))
+    return out
+
+
+def block_sum(t: TranslucentWord, cls: str, w: IncompleteWord, lookup,
+              skip_one_block: bool = False) -> Fraction:
+    """Sum of ``weight * prod(lookup(w | block))`` over ``class_terms(t, cls)``.
+
+    ``w`` is a word of type ``t``; this is :func:`block_sums` on one word.
+    """
+    return block_sums(t, cls, (w,), lookup, skip_one_block)[0]
+
+
+@lru_cache(maxsize=65536)
+def _rank_plan(key: RankKey):
+    """``(scale, blocks, terms)`` of the class terms of a key of
+    :func:`bifc.bipartition._rank_key`, in rank space.
+
+    ``blocks`` holds each distinct block once, as its tuple of 0-based
+    standard-order ranks.  ``terms`` holds ``(numerator, block indices)``
+    pairs whose weights are the numerators over the common denominator
+    ``scale``.  On the fully opaque types there is one key per length and
+    class, whatever the side pattern.
+    """
+    terms = _key_terms(key, range(len(key[0])))
+    scale = math.lcm(*(weight.denominator for _bl, weight in terms))
+    index: dict[tuple[int, ...], int] = {}
+    plan = []
+    for bl, weight in terms:
+        indices = tuple(index.setdefault(block, len(index)) for block in bl)
+        plan.append((weight.numerator * (scale // weight.denominator), indices))
+    return scale, tuple(index), tuple(plan)
 
 
 @lru_cache(maxsize=65536)
 def _block_sum_plan(t: TranslucentWord, cls: str):
-    """``(scale, blocks, terms)`` for :func:`block_sum` on type ``t``.
+    """``(scale, blocks, terms)`` for :func:`block_sums` on type ``t``.
 
-    ``blocks`` holds each distinct block once as ``(pick, sides)``: ``pick``
-    takes the block's letters from a word's letter tuple and ``sides`` is
-    their side string, which depends only on ``t``.  ``terms`` holds
-    ``(numerator, block indices)`` pairs whose weights are the numerators
-    over the common denominator ``scale``.
+    ``scale`` and ``terms`` are those of :func:`_rank_plan`, shared by
+    every type of one key.  ``blocks`` relabels its blocks through
+    ``standard_order(t.alpha).perm``, each as ``(pick, sides)``: ``pick``
+    takes the block's letters from a word's letter tuple, in natural order,
+    and ``sides`` is their side string, which depends only on ``t``.
     """
-    terms = class_terms(t, cls)
-    scale = math.lcm(*(weight.denominator for _bl, weight in terms))
-    index: dict[tuple[int, ...], int] = {}
+    scale, ranks, terms = _rank_plan(_rank_key(t, cls))
+    perm = standard_order(t.alpha).perm
     blocks = []
-    plan = []
-    for bl, weight in terms:
-        indices = []
-        for block in bl:
-            i = index.get(block)
-            if i is None:
-                i = index[block] = len(blocks)
-                blocks.append((_picker(tuple(p - 1 for p in block)),
-                               "".join(t.alpha[p - 1] for p in block)))
-            indices.append(i)
-        plan.append((weight.numerator * (scale // weight.denominator), tuple(indices)))
-    return scale, tuple(blocks), tuple(plan)
+    for block in ranks:
+        at = sorted(perm[r] - 1 for r in block)
+        blocks.append((_picker(tuple(at)), "".join(t.alpha[p] for p in at)))
+    return scale, tuple(blocks), terms
 
 
 def oracle_sum(k, w: IncompleteWord, cls: str) -> Fraction:

@@ -218,6 +218,26 @@ class TestConvert:
                            "--max-len", "2")
         assert code == 2 and "missing" in err
 
+    def test_missing_entry_named_in_word_order(self, tmp_path, capsys):
+        # 'aL aR' comes before 'bL aL' in complete-word order, though the
+        # side pattern LL of 'bL aL' comes before LR
+        letters = ("aL", "bL", "aR", "bR")
+        words = [""] + list(letters) + [f"{x} {y}" for x in letters for y in letters]
+        moments = {w: "1" for w in words if w not in ("aL aR", "bL aL")}
+        variables = {x: x[-1] for x in letters}
+        src = tmp_path / "m.json"
+        src.write_text(json.dumps({"variables": variables, "moments": moments}))
+        code, out, err = run(capsys, "convert", "--input", str(src), "--from", "moments",
+                             "--to", "bifree", "--max-len", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: missing table entry: missing moment entry for 'aL aR'\n"
+        src.write_text(json.dumps({"variables": variables, "family": "bimonotone",
+                                   "moments": moments}))
+        code, out, err = run(capsys, "convert", "--input", str(src), "--from", "bimonotone",
+                             "--to", "moments", "--max-len", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: missing table entry: missing cumulant entry for 'aL aR'\n"
+
     def test_family_mismatch(self, tmp_path, capsys):
         src = tmp_path / "c.json"
         src.write_text(json.dumps({

@@ -33,6 +33,16 @@ class TestData:
         with pytest.raises(ValueError):
             cm.CumulantData("nope", AB, {})
 
+    def test_values_in_complete_word_order(self):
+        two = Alphabet.make(left={"aL", "bL"}, right={"aR", "bR"})
+        m = random_moments(two, 4, seed=10)
+        order = list(two.complete_words(4, 1))
+        for family in cm.FAMILIES:
+            c = cm.moments_to_cumulants(m, family, 4)
+            assert list(c.values) == order
+            from bifc.words import EMPTY_WORD
+            assert list(cm.cumulants_to_moments(c, 4).values) == order + [EMPTY_WORD]
+
     def test_missing_entries_raise(self):
         m = cm.MomentData(AB, {AB.word("a"): Q(1)})
         with pytest.raises(KeyError):

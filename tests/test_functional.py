@@ -1,8 +1,13 @@
 import random
 from fractions import Fraction as Q
 
-import pytest
+import math
+from itertools import product
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bifc import bipartition as bp
 from bifc import functional as fn
 from bifc import translucent as tr
 from bifc import words as wd
@@ -334,11 +339,16 @@ class TestBlockSum:
             lookup = self.table(seed).__getitem__
             for t in tr.all_words(5):
                 w = word_of_type(t, rng)
+                # every word of the type in one batched call, too
+                words = list(TWO.words_of_type(t)) if seed == 1 else []
                 for cls in CLASSES:
                     terms = fn.class_terms(t, cls)
                     for skip in (False, True):
                         assert fn.block_sum(t, cls, w, lookup, skip) == \
                             reference_block_sum(terms, w, lookup, skip), (t, cls, skip)
+                        assert fn.block_sums(t, cls, words, lookup, skip) == [
+                            reference_block_sum(terms, u, lookup, skip) for u in words
+                        ], (t, cls, skip)
 
     def test_reaches_blocks_lazily_and_once(self):
         from bifc.bipartition import CLASSES
@@ -394,6 +404,121 @@ class TestBlockSum:
         monkeypatch.setenv(bp.MAX_ENUM_ENV, "2")
         with pytest.raises(bp.EnumerationLimitError):
             fn.block_sum(t, "nc", w, lookup)
+
+
+def reference_terms(t, cls):
+    """The class terms by a walk over the natural positions of ``t`` itself:
+    the growth rule of :func:`bifc.bipartition._grow` before it moved to
+    rank space, kept as a reference."""
+    perm = standard_order(t.alpha).perm
+    opaque = [t.mask[p - 1] == "1" for p in perm]
+    transl = tr.translucent_positions(t)
+    shade_at = transl[0] if cls == "shaded_nc" and transl else None
+    stacked = cls in ("nc", "shaded_nc", "monotone")
+    rank = {p: r for r, p in enumerate(perm)}
+    blocks, out = [], []
+
+    def leaf():
+        weight = Q(1)
+        if cls == "monotone":  # labellings m!/prod(hook), over m!
+            firsts = [rank[b[0]] for b in blocks]
+            hooks = math.prod(sum(f <= rank[b[-1]] for f in firsts) - i
+                              for i, b in enumerate(blocks))
+            weight = Q(1, hooks)
+        out.append((tuple(tuple(sorted(b)) for b in blocks), weight))
+
+    def step(k, stack, seen):
+        while k < len(perm) and not opaque[k]:
+            if stacked:
+                if -1 in stack:
+                    stack = stack[:stack.index(-1) + 1]
+                elif seen:
+                    return
+                else:
+                    stack += (-1,)
+                if cls == "monotone" or perm[k] == shade_at:
+                    stack = (-1,)
+            seen = True
+            k += 1
+        if k == len(perm):
+            leaf()
+            return
+        p = perm[k]
+        for i, b in enumerate(stack):
+            if b != -1:
+                blocks[b].append(p)
+                step(k + 1, stack[:i + 1] if stacked else stack, seen)
+                blocks[b].pop()
+        blocks.append([p])
+        step(k + 1, (len(blocks) - 1,) if cls == "interval" else stack + (len(blocks) - 1,),
+             seen)
+        blocks.pop()
+
+    step(0, (), False)
+    return out
+
+
+def reference_plan(t, cls):
+    """``(scale, blocks, terms)`` compiled from :func:`reference_terms` for
+    ``t`` alone, each block as ``(0-based natural positions, sides)``."""
+    terms = reference_terms(t, cls)
+    scale = math.lcm(*(weight.denominator for _bl, weight in terms))
+    index, plan = {}, []
+    for bl, weight in terms:
+        indices = tuple(index.setdefault(block, len(index)) for block in bl)
+        plan.append((weight.numerator * (scale // weight.denominator), indices))
+    blocks = tuple((tuple(p - 1 for p in block), "".join(t.alpha[p - 1] for p in block))
+                   for block in index)
+    return scale, blocks, tuple(plan)
+
+
+def plan_of(t, cls):
+    """:func:`bifc.functional._block_sum_plan` with each picker read off as
+    the 0-based positions it takes."""
+    scale, blocks, terms = fn._block_sum_plan(t, cls)
+    positions = tuple(range(len(t.alpha)))
+    return scale, tuple((tuple(pick(positions)), sides) for pick, sides in blocks), terms
+
+
+class TestRankPlan:
+    def test_matches_per_type_compile_on_every_type(self):
+        for t in tr.all_words(6):
+            for cls in bp.CLASSES:
+                assert plan_of(t, cls) == reference_plan(t, cls), (t, cls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(7, 9), st.data())
+    def test_matches_per_type_compile_at_seven_to_nine(self, n, data):
+        alpha = data.draw(st.text("LR", min_size=n, max_size=n))
+        mask = data.draw(st.text("01", min_size=n, max_size=n))
+        cls = data.draw(st.sampled_from(bp.CLASSES))
+        t = tr.TranslucentWord(alpha, mask)
+        assert plan_of(t, cls) == reference_plan(t, cls)
+
+    def test_side_patterns_of_one_key_share_the_terms(self):
+        for cls in bp.CLASSES:
+            for n in range(6):
+                plans = [fn._block_sum_plan(tr.fully_opaque("".join(alpha)), cls)
+                         for alpha in product("LR", repeat=n)]
+                assert all(plan[2] is plans[0][2] for plan in plans), (cls, n)
+
+    def test_shaded_key_holds_the_first_translucent_rank(self):
+        # one standard-order mask, "10011", with the naturally first
+        # translucent position at rank 1 and at rank 2: the keys differ,
+        # and each type gets its own terms, which bar the opaque block at
+        # rank 0 from nesting the translucent block as plain nc allows
+        t1, t2 = tr.TranslucentWord("LLLLL", "10011"), tr.TranslucentWord("LRRRL", "11100")
+        k1, k2 = bp._rank_key(t1, "shaded_nc"), bp._rank_key(t2, "shaded_nc")
+        assert k1 == ("10011", "shaded_nc", 1) and k2 == ("10011", "shaded_nc", 2)
+        assert fn._block_sum_plan(t1, "shaded_nc")[2] is not fn._block_sum_plan(
+            t2, "shaded_nc")[2]
+        assert fn.class_terms(t1, "shaded_nc") == (
+            (((1,), (4, 5)), 1), (((1,), (4,), (5,)), 1))
+        assert fn.class_terms(t2, "shaded_nc") == (
+            (((1,), (2, 3)), 1), (((1,), (3,), (2,)), 1))
+        for t in (t1, t2):
+            assert plan_of(t, "shaded_nc") == reference_plan(t, "shaded_nc")
+            assert len(fn.class_terms(t, "nc")) == 5
 
 
 def reference_cut_sum(f, g, w, keep_min):
