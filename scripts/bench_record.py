@@ -16,10 +16,11 @@ pairs the change won per metric, the Python version, ``os.cpu_count()``,
 and the wall time, child CPU time and peak RSS of acceptance criteria 3
 (exponentials, words <= 6), 4 (codendriform, words <= 5), 6 (exchange,
 ``|t|`` <= 6), 7 (roundtrip, words <= 6) and 8 (single_faced, words <= 7),
-and of the roundtrip suite at length 7, one length past its
-``cli.VERIFY_MAX_LEN`` entry.  Each of these runs ``REPEATS`` times per
-tree in a fresh process, the side that goes first alternating; the record
-holds every run and, under the run's own keys, the median of each figure.
+and of the roundtrip and exponentials suites at length 7, one length past
+their ``cli.VERIFY_MAX_LEN`` entries (``REACH``).  Each of these runs
+``REPEATS`` times per tree in a fresh process, the side that goes first
+alternating; the record holds every run and, under the run's own keys, the
+median of each figure.
 
 Beside the workloads' ``setup_s`` (one ``bifc --version`` per run, as the
 host's environment runs it), ``version_s`` holds per tree the best of
@@ -49,7 +50,7 @@ CRITERIA = {"3": ("exponentials", 6, 42), "4": ("codendriform", 5, None),
             "6": ("exchange", 6, None), "7": ("roundtrip", 6, 42),
             "8": ("single_faced", 7, 42)}
 # suites one length past their VERIFY_MAX_LEN entry, run at the suite's own seed
-REACH = {"roundtrip": 7}
+REACH = {"roundtrip": 7, "exponentials": 7}
 # every record uses the same pairs and run length, so records compare
 PAIRS = 10
 SECONDS = 30.0

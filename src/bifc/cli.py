@@ -62,7 +62,7 @@ LIST_BUDGET = 100_000
 TERM_BUILD_COST = 10
 # Largest --max-len each ``verify`` suite admits.  One length more takes
 # 30 s or longer on a 2-core host with Python 3.11: dendriform over 100 s,
-# exponentials 82 s (541 MB), exchange 62 s (249 MB), codendriform 58 s
+# exponentials 61-87 s (319 MB), exchange 62 s (249 MB), codendriform 58 s
 # (483 MB; 4.4 s and 103 MB at its admitted 6), prelie 60 s (802 MB),
 # single_faced 77 s; roundtrip 27-34 s and 78 MB in three single runs, too
 # close to 30 s to move its entry on them.

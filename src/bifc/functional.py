@@ -14,17 +14,23 @@ incomplete words:
 * ``generic``: a direct table on incomplete words, ``unit_value`` on
   placeholder-only words.
 
-Anything with a ``unit_value`` (its value on every placeholder-only word)
-and an ``eval(word)`` method is a functional here.  :class:`Lazy` memoizes
-a pointwise rule per word; the products return one, and a table-backed
-:class:`Functional` is the :class:`Lazy` of its kind's rule.
+Every functional here is a :class:`Lazy`: a pointwise rule with a
+``unit_value`` (its value on every placeholder-only word), memoized per
+word as a numerator and a denominator.  The products return one, and a
+table-backed :class:`Functional` is the :class:`Lazy` of its kind's rule.
 
 Duality with the coproducts of :mod:`bifc.words` gives the convolution
 ``star`` and the half-products ``prec`` and ``succ``; the preLie product is
 ``prec`` minus the flipped ``succ``.  All of them are one cut sum,
-:func:`_cut_sum`, which reads the cuts from the plan in the type's record
-(``bifc.translucent._facts(t).plan(keep_min)``), adds its terms up in
-Python ints and builds one :class:`~fractions.Fraction` per value.  The
+:func:`_cut_sum`, which reads the cuts from a plan in the type's record
+and both factors' memos on plain ``(letters, sides)`` tuples, adds its
+terms up in Python ints and builds one :class:`~fractions.Fraction` per
+value.  The plan follows the right factor's kind: an interval-kind one
+vanishes unless the dropped opaque positions form one standard-order run,
+so only those cuts are visited (``bifc.translucent._facts(t).run_plan``);
+for any other kind every cut is (``_facts(t).plan``).  That covers the
+star powers of ``exp_star``, ``exp_succ`` and both halves of an
+interval-kind preLie product.  The
 exponentials are that cut sum under a :class:`Lazy` too: the fixed points
 ``M = counit + k prec M`` (sums over shaded noncrossing bipartitions) and
 ``M = counit + M succ b`` (interval bipartitions), and the convolution
@@ -62,7 +68,6 @@ from .words import (
     _restrict_sorted,
     is_complete,
     is_placeholder_only,
-    opaque_positions_w,
     restrict_word,
     type_of,
 )
@@ -78,6 +83,9 @@ _LIE_KINDS = (LIE_INTERVAL, LIE_FULL)
 _GROUP_KINDS = (GROUP_MULTIPLICATIVE, GROUP_FULL)
 
 Q = Fraction
+ZERO = Q(0)
+ONE = Q(1)
+_ZERO_PAIR = (0, 1)  # shared by the memos' many zeros
 
 
 class MissingTableEntryError(KeyError):
@@ -85,21 +93,35 @@ class MissingTableEntryError(KeyError):
 
 
 class Lazy:
-    """Functional given pointwise by ``func``, memoized per word."""
+    """Functional given pointwise by ``func``, memoized per word.
+
+    The memo maps a word to its value's ``(numerator, denominator)``.  An
+    :class:`IncompleteWord` hashes and compares as its plain ``(letters,
+    sides)`` tuple, so :func:`_cut_sum` reads the memo with plain tuples
+    and builds a word only on a miss.
+    """
 
     __slots__ = ("func", "unit_value", "_memo")
 
     def __init__(self, func, unit_value: Fraction | int = 0):
         self.func = func
         self.unit_value = Q(unit_value)
-        self._memo: dict[IncompleteWord, Fraction] = {}
+        self._memo: dict[tuple, tuple[int, int]] = {}
+
+    def _miss(self, key: tuple) -> tuple[int, int]:
+        """Compute and memoize the ``(numerator, denominator)`` at the word ``key``."""
+        # the word is kept as the memo key, shared with type_of's cache
+        w = key if isinstance(key, IncompleteWord) else IncompleteWord(*key)
+        value = self.func(w)
+        pair = self._memo[w] = (value.numerator, value.denominator) if value else _ZERO_PAIR
+        return pair
+
+    def _pair(self, key: tuple) -> tuple[int, int]:
+        """The ``(numerator, denominator)`` at the word ``key``."""
+        return self._memo.get(key) or self._miss(key)
 
     def eval(self, w: IncompleteWord) -> Fraction:
-        try:
-            return self._memo[w]
-        except KeyError:
-            value = self._memo[w] = self.func(w)
-            return value
+        return Q(*self._pair(w))
 
 
 class Functional(Lazy):
@@ -128,11 +150,11 @@ class Functional(Lazy):
             if len(w) == 0:
                 raise ValueError("the empty word belongs to the unit, not the table")
         if kind in _LIE_KINDS:
-            forced = Q(0)
+            forced = ZERO
         elif kind in _GROUP_KINDS:
-            forced = Q(1)
+            forced = ONE
         else:
-            forced = Q(unit_value) if unit_value is not None else Q(0)
+            forced = Q(unit_value) if unit_value is not None else ZERO
         if unit_value is not None and Q(unit_value) != forced and kind != GENERIC:
             raise ValueError(f"unit value of a {kind} functional is forced to {forced}")
         super().__init__(self._kind_rule, forced)
@@ -150,58 +172,70 @@ class Functional(Lazy):
                 f"{self.kind} functional has no entry for {w.text!r}"
             ) from None
 
+    def eval(self, w: IncompleteWord) -> Fraction:
+        """The kind's rule at ``w``, not memoized: the rule is a table
+        lookup, which a memo entry would only copy.  The cut sums fill the
+        memo."""
+        return self._kind_rule(w)
+
     def _kind_rule(self, w: IncompleteWord) -> Fraction:
-        if is_placeholder_only(w):
+        value = self.table.get(w)
+        if value is not None and self.kind != GENERIC:
+            return value  # w is complete, where every other kind reads its own entry
+        facts = _facts(type_of(w))
+        if not facts.opaque:
             return self.unit_value
         if self.kind == GENERIC:
-            return self.table.get(w, Q(0))
+            return ZERO if value is None else value
         if self.kind == GROUP_MULTIPLICATIVE:
-            components = opaque_intervals(type_of(w))
-            if len(components) == 1 and len(components[0]) == len(w):
-                return self._lookup(w)
-            value = Q(1)
-            for component in components:
+            value = ONE
+            for component in facts.intervals:
                 value *= self._lookup(_restrict_sorted(w, component))
             return value
         if self.kind == LIE_INTERVAL:
-            components = opaque_intervals(type_of(w))
-            if len(components) != 1:
-                return Q(0)
-            if len(components[0]) == len(w):
-                return self.table.get(w, Q(0))
-            return self.table.get(_restrict_sorted(w, components[0]), Q(0))
-        opaque = opaque_positions_w(w)
-        if len(opaque) == len(w):
-            restricted = w
-        else:
-            restricted = _restrict_sorted(w, opaque)
+            if len(facts.intervals) != 1:
+                return ZERO
+            return self.table.get(_restrict_sorted(w, facts.intervals[0]), ZERO)
+        restricted = _restrict_sorted(w, facts.opaque)
         if self.kind == LIE_FULL:
-            return self.table.get(restricted, Q(0))
+            return self.table.get(restricted, ZERO)
         return self._lookup(restricted)  # GROUP_FULL
 
     def __repr__(self) -> str:
         return f"Functional({self.kind}, {len(self.table)} entries)"
 
 
-def _cut_sum(f, g, w: IncompleteWord, keep_min: bool | None) -> Fraction:
+def _cut_sum(f: Lazy, g: Lazy, w: IncompleteWord, keep_min: bool | None) -> Fraction:
     """``f`` on the restriction times ``g`` on the translucidation, summed
     over the cuts of ``w`` selected by ``keep_min`` (see
     :meth:`bifc.translucent._Facts.plan`).
 
-    ``g`` is evaluated only where ``f`` is nonzero; the terms are added up
-    in Python ints by :func:`_fraction_sum`.
+    An interval-kind ``g`` vanishes unless the translucidation's opaque
+    positions form one standard-order run, so then only the cuts of
+    :meth:`bifc.translucent._Facts.run_plan` are visited.  ``g`` is read
+    only where ``f`` is nonzero.  Both memos are read on plain ``(letters,
+    sides)`` tuples, and the terms are added up in Python ints by
+    :func:`_fraction_sum`.
     """
-    letters, sides = w.letters, w.sides
+    facts = _facts(type_of(w))
+    if isinstance(g, Functional) and g.kind == LIE_INTERVAL:
+        plan = facts.run_plan(keep_min)
+    else:
+        plan = facts.plan(keep_min)
+    letters, sides = w
     both = letters + tuple(sides)
+    f_memo, g_memo = f._memo, g._memo
     nums = []
     dens = []
-    for restrict, kept_sides, translucidate in _facts(type_of(w)).plan(keep_min):
-        left = f.eval(IncompleteWord(restrict(letters), kept_sides))
-        if left:
-            right = g.eval(IncompleteWord(translucidate(both), sides))
-            if right:
-                nums.append(left.numerator * right.numerator)
-                dens.append(left.denominator * right.denominator)
+    for restrict, kept_sides, translucidate in plan:
+        key = (restrict(letters), kept_sides)
+        left_num, left_den = f_memo.get(key) or f._miss(key)  # Lazy._pair, inlined
+        if left_num:
+            key = (translucidate(both), sides)
+            right_num, right_den = g_memo.get(key) or g._miss(key)
+            if right_num:
+                nums.append(left_num * right_num)
+                dens.append(left_den * right_den)
     return _fraction_sum(nums, dens)
 
 
@@ -238,7 +272,7 @@ def prec_eval(f, g, w: IncompleteWord) -> Fraction:
     """
     _check_half_product_args(f, g, "prec")
     if is_placeholder_only(w):
-        return Q(0)
+        return ZERO
     return _cut_sum(f, g, w, True)
 
 
@@ -246,7 +280,7 @@ def succ_eval(f, g, w: IncompleteWord) -> Fraction:
     """Right half-product: the lessdot-first opaque letter goes right."""
     _check_half_product_args(f, g, "succ")
     if is_placeholder_only(w):
-        return Q(0)
+        return ZERO
     return _cut_sum(f, g, w, False)
 
 
@@ -284,11 +318,11 @@ def prelie_interval_form(f: Functional, g: Functional, w: IncompleteWord) -> Fra
         raise ValueError("closed form applies to lie_interval functionals")
     components = opaque_intervals(type_of(w))
     if len(components) != 1:
-        return Q(0)
+        return ZERO
     so = standard_order(w.sides)
     run = so.sort_positions(components[0])
     n = len(run)
-    total = Q(0)
+    total = ZERO
     for a in range(1, n):          # |I1| = a >= 1
         for b in range(1, n - a + 1):   # |J| = b >= 1, |I2| = n - a - b >= 1
             if n - a - b < 1:
@@ -314,7 +348,7 @@ def _fixed_point_table(alphabet: Alphabet, max_len: int, step) -> dict:
     recursion terminates because every cut ``step`` sums over leaves fewer
     opaque letters on the side where ``M`` is evaluated.
     """
-    M = Lazy(lambda w: Q(1) if is_placeholder_only(w) else step(M, w), 1)
+    M = Lazy(lambda w: ONE if is_placeholder_only(w) else step(M, w), 1)
     return {v: M.eval(v) for v in alphabet.complete_words(max_len, min_len=1)}
 
 
@@ -337,26 +371,41 @@ def exp_succ(b: Functional, max_len: int) -> Functional:
         b.alphabet, max_len, lambda M, w: _cut_sum(M, b, w, False)))
 
 
-def _star_powers(f, max_len: int) -> list[Lazy]:
+def _star_powers(f: Lazy, max_len: int) -> list[Lazy]:
     """``[f**(star n) for n = 1..max_len]``, each power a :class:`Lazy`.
 
     ``f`` must vanish on placeholder-only words, so each factor of a power
-    takes at least one letter and ``f**(star n)`` vanishes on words shorter
-    than ``n``.
+    takes at least one opaque letter and ``f**(star n)`` vanishes on words
+    with fewer than ``n`` opaque letters.
     """
     powers = [f]
     for n in range(2, max_len + 1):
         powers.append(Lazy(lambda w, n=n, prev=powers[-1]:
-                           Q(0) if len(w) < n else _cut_sum(prev, f, w, None)))
+                           ZERO if len(_facts(type_of(w)).opaque) < n
+                           else _cut_sum(prev, f, w, None)))
     return powers
 
 
-def _power_series_table(f, alphabet: Alphabet, max_len: int, coefficient) -> dict:
-    """``sum(coefficient(n) * f**(star n))`` on the complete words up to ``max_len``."""
+def _power_series_table(f: Lazy, alphabet: Alphabet, max_len: int, coefficient) -> dict:
+    """``sum(coefficient(n) * f**(star n))`` on the complete words up to ``max_len``.
+
+    The terms are added up in Python ints, one :class:`~fractions.Fraction`
+    per word.
+    """
     powers = _star_powers(f, max_len)
-    return {v: sum((coefficient(n) * p.eval(v)
-                    for n, p in enumerate(powers[:len(v)], start=1)), Q(0))
-            for v in alphabet.complete_words(max_len, min_len=1)}
+    weights = [(c.numerator, c.denominator)
+               for c in map(coefficient, range(1, max_len + 1))]
+    table = {}
+    for v in alphabet.complete_words(max_len, min_len=1):
+        nums = []
+        dens = []
+        for (c_num, c_den), power in zip(weights, powers[:len(v)]):
+            num, den = power._pair(v)
+            if num:
+                nums.append(c_num * num)
+                dens.append(c_den * den)
+        table[v] = _fraction_sum(nums, dens)
+    return table
 
 
 def exp_star(m: Functional, max_len: int) -> Functional:
@@ -373,7 +422,7 @@ def log_star(M: Functional, max_len: int) -> Functional:
     series is finite on every word.
     """
     _require_kind(M, GROUP_MULTIPLICATIVE, "log_star")
-    shifted = Lazy(lambda w: Q(0) if is_placeholder_only(w) else M.eval(w))
+    shifted = Lazy(lambda w: ZERO if is_placeholder_only(w) else M.eval(w))
     return Functional(LIE_INTERVAL, M.alphabet, _power_series_table(
         shifted, M.alphabet, max_len, lambda n: Q((-1) ** (n - 1), n)))
 

@@ -77,12 +77,13 @@ class _Facts:
     ``translucent``, ``opaque``, ``target`` and ``intervals`` hold the values
     of :func:`translucent_positions`, :func:`opaque_positions`, :func:`target`
     and :func:`opaque_intervals`; ``first`` is the lessdot-first opaque
-    position (``None`` if there is none).  :meth:`split`, :meth:`plan` and
-    :meth:`factorizations` fill their tables on first use.
+    position (``None`` if there is none).  :meth:`split`, :meth:`plan`,
+    :meth:`run_plan` and :meth:`factorizations` fill their tables on first
+    use.
     """
 
     __slots__ = ("t", "translucent", "opaque", "target", "first", "intervals",
-                 "_splits", "_plans", "_factorizations")
+                 "_splits", "_plans", "_run_plans", "_factorizations")
 
     def __init__(self, t: TranslucentWord):
         alpha, mask = self.t = t
@@ -93,7 +94,7 @@ class _Facts:
         self.first = next((p for p in perm if mask[p - 1] == "1"), None)
         self.intervals = tuple(tuple(sorted(run)) for bit, run in
                                groupby(perm, key=lambda p: mask[p - 1]) if bit == "1")
-        self._splits, self._plans, self._factorizations = {}, {}, None
+        self._splits, self._plans, self._run_plans, self._factorizations = {}, {}, {}, None
 
     def split(self, i: int):
         """``(before, after, t_minus, t_plus)`` at a translucent position ``i``."""
@@ -128,6 +129,22 @@ class _Facts:
             else:
                 self._plans[keep_min] = self.half(self.plan(None), keep_min)
         return self._plans[keep_min]
+
+    def run_plan(self, keep_min: bool | None):
+        """The very entries of :meth:`plan` ``(keep_min)`` whose dropped
+        opaque positions form one nonempty standard-order run: the cuts
+        whose translucidation can be nonzero under an interval-kind
+        functional."""
+        if keep_min not in self._run_plans:
+            rank = standard_order(self.t.alpha).rank
+            runs = []
+            for entry, (kept, _r, _t) in zip(self.plan(keep_min),
+                                            self.half(_mask_cuts(self.t.mask), keep_min)):
+                dropped = sorted(rank(p) for p in self.opaque if p not in kept)
+                if dropped and dropped[-1] - dropped[0] == len(dropped) - 1:
+                    runs.append(entry)
+            self._run_plans[keep_min] = tuple(runs)
+        return self._run_plans[keep_min]
 
     def factorizations(self) -> tuple:
         """The pairs of :func:`factorizations`."""

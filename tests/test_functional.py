@@ -596,3 +596,41 @@ class TestCutSums:
             for v in TWO.complete_words(5, 1):
                 assert [p.eval(v) for p in powers[:len(v)]] == \
                     reference_star_powers(f, v, interval_kind, memo), v
+
+    def test_cut_sum_with_interval_kind_right_factor(self):
+        # an interval-kind right factor sends the cut sum to the run-only plan
+        for seed in (5, 6):
+            f = self.functional(seed, unit_value=Q(-2, 3))
+            g = self.functional(seed + 10, fn.LIE_INTERVAL)
+            for w in AB.words(5):
+                for keep_min in (None, True, False):
+                    if keep_min is not None and wd.is_placeholder_only(w):
+                        continue
+                    assert fn._cut_sum(f, g, w, keep_min) == \
+                        reference_cut_sum(f, g, w, keep_min), (w, keep_min)
+
+    @pytest.mark.parametrize("interval_kind", [True, False])
+    def test_star_powers_vanish_below_their_opaque_count(self, interval_kind):
+        # each factor of f**(star n) takes an opaque letter, so the cut sum a
+        # power skips on words with fewer than n opaque letters adds up to 0
+        kind = fn.LIE_INTERVAL if interval_kind else fn.GENERIC
+        f = self.functional(3, kind, alphabet=TWO)
+        powers = fn._star_powers(f, 5)
+        for w in TWO.words(5):
+            for n in range(len(wd.opaque_positions_w(w)) + 1, 6):
+                assert powers[n - 1].eval(w) == 0, (w, n)
+                if n > 1:
+                    assert fn._cut_sum(powers[n - 2], f, w, None) == 0, (w, n)
+
+    @pytest.mark.parametrize("interval_kind", [True, False])
+    def test_power_series_table_matches_fraction_sum(self, interval_kind):
+        kind = fn.LIE_INTERVAL if interval_kind else fn.GENERIC
+        f = self.functional(4, kind, alphabet=TWO)
+        for coefficient in (lambda n: Q(1, math.factorial(n)), lambda n: Q((-1) ** (n - 1), n)):
+            table = fn._power_series_table(f, TWO, 4, coefficient)
+            memo = {}
+            assert len(table) == sum(4 ** n for n in range(1, 5))
+            for v in TWO.complete_words(4, 1):
+                terms = reference_star_powers(f, v, interval_kind, memo)
+                assert table[v] == sum(
+                    (coefficient(n) * p for n, p in enumerate(terms, start=1)), Q(0)), v

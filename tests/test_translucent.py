@@ -175,6 +175,24 @@ class TestFacts:
                 assert tr._split_at(t, i) is facts.split(i)
             assert tr._facts(t) is facts
 
+    def test_run_plan_is_plan_filtered_on_one_run(self):
+        # the very entries of plan(keep_min) whose dropped opaque positions,
+        # the opaque ones of the translucidation, form one standard-order run
+        for t in tr.all_words(6):
+            facts = tr._facts(t)
+            for keep_min in (None, True, False):
+                if keep_min is not None and "1" not in t.mask:
+                    with pytest.raises(ValueError):
+                        facts.run_plan(keep_min)
+                    continue
+                expected = tuple(
+                    entry for entry, kept in zip(facts.plan(keep_min), tr.cut_sets(t, keep_min))
+                    if len(tr.opaque_intervals(tr.translucidate(t, kept))) == 1)
+                runs = facts.run_plan(keep_min)
+                assert runs == expected, (t, keep_min)
+                assert all(a is b for a, b in zip(runs, expected)), (t, keep_min)
+                assert facts.run_plan(keep_min) is runs
+
 
 class TestOpaqueIntervals:
     def test_golden(self):
